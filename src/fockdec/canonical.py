@@ -4,17 +4,15 @@ Each basis vector G(lam) is the unique bar-invariant vector congruent to
 |lam> modulo the q-lattice.  It is found by a triangular solve along any
 linear extension of dominance (largest first): walking down from lam, the
 residual at each mu is bar-antisymmetric and admits a unique lift into
-q.Z[q].  A final correction loop subtracts bar-symmetric multiples of
-lower basis vectors from any remaining lattice violation; with the solve
-above it has nothing to do, but it repairs arbitrary bar-invariant seeds
-and converts non-termination into a diagnostic.
+q.Z[q].  `DecompositionMatrix.validate` then rejects any lattice
+violation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from fockdec.errors import ConventionError, StepBudgetExceeded
+from fockdec.errors import ConventionError
 from fockdec.fock import BarMatrix, FockVector, bar_matrix
 from fockdec.laurent import LaurentPoly
 from fockdec.matrices import PartitionMatrix
@@ -97,34 +95,6 @@ def _solve_column(
     return {mu: x for mu, x in column.items() if not x.is_zero()}
 
 
-def _correct_to_lattice(
-    lam: Partition,
-    column: dict[Partition, LaurentPoly],
-    basis: dict[Partition, dict[Partition, LaurentPoly]],
-    order: tuple[Partition, ...],
-    budget: int,
-) -> dict[Partition, LaurentPoly]:
-    """Subtract symmetric lifts of violating coefficients against lower columns."""
-    column = dict(column)
-    for _ in range(budget):
-        violating = None
-        for mu in order:
-            if mu == lam:
-                continue
-            coeff = column.get(mu)
-            if coeff is not None and not coeff.is_q_multiple():
-                violating = mu
-                break
-        if violating is None:
-            return {mu: c for mu, c in column.items() if not c.is_zero()}
-        lift = symmetric_lift(column[violating])
-        for tau, g in basis[violating].items():
-            column[tau] = column.get(tau, LaurentPoly.zero()) - lift * g
-    raise StepBudgetExceeded(
-        f"lattice correction for {lam} did not settle within {budget} steps"
-    )
-
-
 def decomposition_matrix(
     n: int,
     m: int,
@@ -148,11 +118,7 @@ def decomposition_matrix(
         order = tuple(tuple(lam) for lam in order)
         if sorted(order) != sorted(partitions_of(m)):
             raise ValueError("order must enumerate all partitions of m")
-    budget = max(len(order) ** 2, 4)
-    columns: dict[Partition, dict[Partition, LaurentPoly]] = {}
-    for lam in reversed(order):
-        column = _solve_column(lam, amat, order)
-        columns[lam] = _correct_to_lattice(lam, column, columns, order, budget)
+    columns = {lam: _solve_column(lam, amat, order) for lam in order}
 
     canonical_order = partitions_of(m)
     index = {lam: i for i, lam in enumerate(canonical_order)}

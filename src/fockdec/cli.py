@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from fockdec import __version__, canonical, schaper, verify
@@ -62,9 +64,20 @@ class MatrixCache:
         return matrix
 
     def store(self, kind: str, n: int, m: int, matrix: PartitionMatrix) -> None:
+        """Write the entry atomically: a reader sees the old file or the new one."""
         self.directory.mkdir(parents=True, exist_ok=True)
         payload = {"schema": SCHEMA_VERSION, "matrix": matrix.to_jsonable()}
-        self._path(kind, n, m).write_text(json.dumps(payload))
+        path = self._path(kind, n, m)
+        fd, tmp = tempfile.mkstemp(
+            dir=self.directory, prefix=f".{path.name}.", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(json.dumps(payload))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def cached_matrix(kind: str, n: int, m: int, cache_dir: Path) -> PartitionMatrix:
@@ -100,6 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument(
+        "-v", "--verbose", action="store_true", help="log diagnostics at INFO level to stderr"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_decomp = sub.add_parser("decomp", help="q-decomposition matrix for (n, m)")
@@ -247,6 +263,8 @@ def cmd_gram(parser, args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.verbose:
+        logging.basicConfig(level=logging.INFO)
     if args.command == "decomp":
         return cmd_matrix(parser, args, "decomp")
     if args.command == "bar":

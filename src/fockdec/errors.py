@@ -2,7 +2,7 @@
 
 
 class StepBudgetExceeded(RuntimeError):
-    """A rewriting or correction loop ran past its configured step budget.
+    """Wedge straightening ran past its configured step budget.
 
     Raised instead of looping silently; almost always indicates a convention
     error upstream rather than a genuinely hard instance.

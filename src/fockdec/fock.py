@@ -140,7 +140,9 @@ def straighten(head, n: int, budget: int | None = None) -> FockVector:
     """Normal-order an arbitrary head into a combination of partition wedges.
 
     Requires n >= 2 and every entry exceeding -len(head), so that rewriting
-    never touches the implicit tail.
+    never touches the implicit tail.  `budget` caps the rewrite steps
+    (default `kernel.DEFAULT_STEP_BUDGET`); past it StepBudgetExceeded is
+    raised.
     """
     head = tuple(head)
     if n < 2:
@@ -148,7 +150,9 @@ def straighten(head, n: int, budget: int | None = None) -> FockVector:
     k = len(head)
     if any(e <= -k for e in head):
         raise ValueError(f"head {head} has entries reaching the implicit tail")
-    raw = kernel.straighten_raw(head, n, budget or kernel.DEFAULT_STEP_BUDGET)
+    if budget is None:
+        budget = kernel.DEFAULT_STEP_BUDGET
+    raw = kernel.straighten_raw(head, n, budget)
     return FockVector(
         {partition_from_wedge(h): LaurentPoly(c) for h, c in raw.items()}
     )
@@ -227,7 +231,7 @@ def single_term_form(poly: LaurentPoly) -> tuple[int, int, int] | None:
     Returns (sign, k, i) on success and None otherwise.  Off-diagonal bar
     matrix entries are sums of such terms; single-term entries are the common
     case (the q-power exponent comes out of either sign in practice) and the
-    genuinely multi-term ones get logged by bar_matrix.
+    genuinely multi-term ones get logged by bar_matrix at INFO level.
     """
     if poly.is_zero():
         return None
@@ -260,6 +264,10 @@ def bar_matrix(n: int, m: int) -> BarMatrix:
         for lam, coeff in image.terms.items():
             rows[index[lam]][col] = coeff
     matrix = BarMatrix(n=n, m=m, order=order, rows=rows)
+    # The scan costs more than the assembly of a warm matrix; skip it unless
+    # its messages will be shown.
+    if not log.isEnabledFor(logging.INFO):
+        return matrix
     for lam in order:
         for tau in order:
             if lam == tau:

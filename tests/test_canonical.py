@@ -9,9 +9,7 @@ from fockdec.canonical import (
     derivative_identity_check,
     gj_identity_check,
     symmetric_lift,
-    _correct_to_lattice,
 )
-from fockdec.errors import StepBudgetExceeded
 from fockdec.fock import FockVector, bar_matrix, bar_vector
 from fockdec.laurent import LaurentPoly, parse_poly
 from fockdec.partitions import dominated_by, partitions_of
@@ -103,33 +101,6 @@ class TestDecompositionMatrix:
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
             decomposition_matrix(1, 2)
-
-
-class TestLatticeCorrection:
-    def test_undoes_symmetric_perturbation(self):
-        n, m = 2, 4
-        dmat = decomposition_matrix(n, m)
-        order = partitions_of(m)
-        basis = {lam: dmat.column(lam) for lam in order}
-        lam = (4,)
-        mu = (2, 1, 1)
-        perturbation = parse_poly("q^-2 + 1 + q^2")
-        column = dict(basis[lam])
-        for tau, g in basis[mu].items():
-            column[tau] = column.get(tau, LaurentPoly.zero()) + perturbation * g
-        fixed = _correct_to_lattice(lam, column, basis, order, budget=50)
-        assert fixed == basis[lam]
-
-    def test_budget_trips(self):
-        n, m = 2, 2
-        dmat = decomposition_matrix(n, m)
-        order = partitions_of(m)
-        basis = {lam: dmat.column(lam) for lam in order}
-        column = dict(basis[(2,)])
-        column[(1, 1)] = column.get((1, 1), LaurentPoly.zero()) + parse_poly("q^-1")
-        # Budget zero: the violation exists but no step is allowed.
-        with pytest.raises(StepBudgetExceeded):
-            _correct_to_lattice((2,), column, basis, order, budget=0)
 
 
 class TestIdentities:

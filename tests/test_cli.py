@@ -1,12 +1,17 @@
 """CLI behaviour: formats, exit codes, cache round-trips, fault injection."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fockdec
 from fockdec.cli import MatrixCache, cached_matrix, main
 from fockdec.canonical import DecompositionMatrix, decomposition_matrix
-from fockdec.fock import BarMatrix
+from fockdec.fock import BarMatrix, bar_matrix
 
 
 def run(argv, capsys):
@@ -167,6 +172,26 @@ class TestCache:
         matrix = cached_matrix("decomp", 2, 2, tmp_path)
         assert matrix == decomposition_matrix(2, 2)
 
+    def test_store_leaves_only_final_file(self, tmp_path):
+        directory = tmp_path / "cache"
+        MatrixCache(directory).store("bar", 2, 3, bar_matrix(2, 3))
+        assert [path.name for path in directory.iterdir()] == ["bar-n2-m3.json"]
+        assert MatrixCache(directory).load("bar", 2, 3, BarMatrix) == bar_matrix(2, 3)
+
+    def test_failed_store_keeps_old_file(self, monkeypatch, tmp_path):
+        cache = MatrixCache(tmp_path)
+        cache.store("bar", 2, 2, bar_matrix(2, 2))
+        old = (tmp_path / "bar-n2-m2.json").read_text()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            cache.store("bar", 2, 2, bar_matrix(2, 2))
+        assert [path.name for path in tmp_path.iterdir()] == ["bar-n2-m2.json"]
+        assert (tmp_path / "bar-n2-m2.json").read_text() == old
+
     def test_env_default(self, monkeypatch, tmp_path):
         from fockdec.cli import default_cache_dir
 
@@ -174,3 +199,19 @@ class TestCache:
         assert default_cache_dir() == tmp_path / "envcache"
         monkeypatch.delenv("FOCKDEC_CACHE")
         assert str(default_cache_dir()) == ".fockdec-cache"
+
+
+class TestVerbose:
+    def test_flag_shows_bar_diagnostics(self, tmp_path):
+        src = Path(fockdec.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argv = ["-v", "bar", "--n", "2", "--m", "6", "--cache-dir", str(tmp_path)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fockdec.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert "is not a single" in proc.stderr

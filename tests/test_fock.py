@@ -5,8 +5,11 @@ two rewrite rules; everything else is property-based (involution,
 truncation stability, triangularity, closure of generated indices).
 """
 
+import logging
+
 import pytest
 
+from fockdec import fock, kernel
 from fockdec.errors import StepBudgetExceeded
 from fockdec.fock import (
     FockVector,
@@ -29,6 +32,18 @@ one = LaurentPoly.one()
 
 def vec(*pairs):
     return FockVector({lam: parse_poly(text) for text, lam in pairs})
+
+
+def count_single_term_form(monkeypatch) -> list:
+    calls = []
+    real = fock.single_term_form
+
+    def counting(poly):
+        calls.append(poly)
+        return real(poly)
+
+    monkeypatch.setattr(fock, "single_term_form", counting)
+    return calls
 
 
 class TestWedgeWords:
@@ -110,8 +125,11 @@ class TestStraighten:
             straighten((1, 0), 1)
 
     def test_budget_exhaustion(self):
-        with pytest.raises(StepBudgetExceeded):
-            straighten(tuple(range(8)), 2, budget=2)
+        # A memoized head costs no steps, so start from an empty memo.
+        for budget in (2, 0):
+            kernel.clear_cache()
+            with pytest.raises(StepBudgetExceeded):
+                straighten(tuple(range(8)), 2, budget=budget)
 
 
 class TestBarInvolution:
@@ -188,6 +206,19 @@ class TestBarMatrix:
         assert single_term_form(parse_poly("-q^-1 + q")) == (-1, 1, 1)
         assert single_term_form(parse_poly("q + 1")) is None
         assert single_term_form(LaurentPoly.zero()) is None
+
+    def test_diagnostic_scan_runs_at_info(self, monkeypatch, caplog):
+        calls = count_single_term_form(monkeypatch)
+        caplog.set_level(logging.INFO, logger="fockdec.fock")
+        bar_matrix(2, 6)
+        assert calls
+        assert any("not a single" in record.getMessage() for record in caplog.records)
+
+    def test_diagnostic_scan_skipped_at_warning(self, monkeypatch, caplog):
+        calls = count_single_term_form(monkeypatch)
+        caplog.set_level(logging.WARNING, logger="fockdec.fock")
+        bar_matrix(2, 6)
+        assert calls == []
 
     def test_columns_match_bar_partition(self):
         for n in (2, 3):
