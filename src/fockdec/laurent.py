@@ -204,6 +204,15 @@ class LaurentPoly:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
+        return self.render()
+
+    def render(self, power: str = "q^{}", times: str = "*") -> str:
+        """Terms in ascending exponent order, e.g. '3*q^-2 - 1 + q'.
+
+        `power` formats q^e for e other than 0 and 1, and `times` joins a
+        coefficient other than +-1 to its power of q; the defaults give the
+        canonical form that parse_poly reads back.
+        """
         if not self._c:
             return "0"
         pieces = []
@@ -213,8 +222,8 @@ class LaurentPoly:
             if e == 0:
                 body = str(mag)
             else:
-                qpart = "q" if e == 1 else f"q^{e}"
-                body = qpart if mag == 1 else f"{mag}*{qpart}"
+                qpart = "q" if e == 1 else power.format(e)
+                body = qpart if mag == 1 else f"{mag}{times}{qpart}"
             if not pieces:
                 pieces.append(body if c > 0 else f"-{body}")
             else:

@@ -99,7 +99,8 @@ class PartitionMatrix:
         lines.append(head + " \\\\")
         lines.append("\\hline")
         for lbl, row in zip(labels, self.rows):
-            cells = [f"$({lbl})$"] + [f"${_latex_poly(entry)}$" for entry in row]
+            entries = [entry.render(power="q^{{{}}}", times=" ") for entry in row]
+            cells = [f"$({lbl})$"] + [f"${text}$" for text in entries]
             lines.append(" & ".join(cells) + " \\\\")
         lines.append("\\end{tabular}")
         return "\n".join(lines) + "\n"
@@ -135,21 +136,3 @@ class PartitionMatrix:
             )
         return "\n".join(lines) + "\n"
 
-
-def _latex_poly(poly: LaurentPoly) -> str:
-    if poly.is_zero():
-        return "0"
-    pieces = []
-    for e in sorted(poly._c):
-        c = poly._c[e]
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            qpart = "q" if e == 1 else f"q^{{{e}}}"
-            body = qpart if mag == 1 else f"{mag} {qpart}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f" + {body}" if c > 0 else f" - {body}")
-    return "".join(pieces)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import fockdec
 from fockdec.cli import MatrixCache, cached_matrix, main
 from fockdec.canonical import DecompositionMatrix, decomposition_matrix
 from fockdec.fock import BarMatrix, bar_matrix
+from fockdec import hecke
 
 
 def run(argv, capsys):
@@ -144,6 +146,20 @@ class TestGram:
         with pytest.raises(SystemExit) as err:
             main(["gram", "--lambda", "4,2", "--n", "2"])
         assert err.value.code == 2
+
+    def test_builds_matrix_once(self, capsys, monkeypatch):
+        # Determinant and rank at the root read the same matrix.
+        build = hecke._gram_matrix.__wrapped__
+        built = []
+
+        def counting(lam):
+            built.append(lam)
+            return build(lam)
+
+        monkeypatch.setattr(hecke, "_gram_matrix", lru_cache(maxsize=None)(counting))
+        code, _ = run(["gram", "--lambda", "2,1,1", "--n", "2"], capsys)
+        assert code == 0
+        assert built == [(2, 1, 1)]
 
 
 class TestCache:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from fockdec import hecke
 from fockdec.errors import ConventionError
 from fockdec.hecke import (
     HeckeElement,
@@ -102,6 +103,47 @@ class TestHeckeAlgebra:
             HeckeElement.unit(2) * HeckeElement.unit(3)
 
 
+def row_sum_reference(lam):
+    """x_lam summed over the enumerated row stabilizer of the row-reading tableau."""
+    m = sum(lam)
+    perms = [identity_perm(m)]
+    for row in row_reading_tableau(lam):
+        values = [v - 1 for v in row]
+        extended = []
+        for w in perms:
+            for images in iter_permutations(values):
+                new = list(w)
+                for v, image in zip(values, images):
+                    new[v] = image
+                extended.append(tuple(new))
+        perms = extended
+    return HeckeElement(m, {w: 1 for w in perms})
+
+
+class TestRowSum:
+    def test_factorised_product_matches_enumeration(self):
+        rng = random.Random(5)
+        for m in range(6):
+            perms = list(iter_permutations(range(m)))
+            samples = [HeckeElement.t(m, rng.choice(perms))]
+            for _ in range(3):
+                samples.append(
+                    HeckeElement(
+                        m,
+                        {
+                            rng.choice(perms): LaurentPoly(
+                                {rng.randint(-3, 3): rng.randint(-4, 4) for _ in range(2)}
+                            )
+                            for _ in range(3)
+                        },
+                    )
+                )
+            for lam in partitions_of(m):
+                x = row_sum_reference(lam)
+                for element in samples:
+                    assert element.times_row_sum(lam) == element * x
+
+
 class TestMurphyBasis:
     def test_one_row_is_full_sum(self):
         for m in (2, 3):
@@ -189,9 +231,24 @@ class TestGramMatrices:
                 assert not gram_matrix(lam).determinant().is_zero()
 
     def test_size_cap(self):
+        builds = hecke._gram_matrix.cache_info()
+        tables = murphy_table.cache_info()
         with pytest.raises(ValueError):
             gram_matrix((4, 2))
+        assert hecke._gram_matrix.cache_info() == builds
+        assert murphy_table.cache_info() == tables
         gram_matrix((2, 1), size_cap=3)
+
+    def test_shared_matrix_unchanged_by_readers(self):
+        for lam in [(2, 1), (2, 2), (2, 1, 1), (3, 2)]:
+            gram = gram_matrix(lam)
+            rows = [list(row) for row in gram.rows]
+            gram.determinant()
+            assert gram.rows == rows
+            for n in (2, 3):
+                gram_rank_at_root(lam, n)
+                assert gram.rows == rows
+            assert gram_matrix(lam) is gram
 
 
 class TestBareiss:

@@ -7,7 +7,10 @@ import pytest
 
 from fockdec.canonical import DecompositionMatrix, decomposition_matrix
 from fockdec.fock import BarMatrix, bar_matrix
-from fockdec.laurent import parse_poly
+from fockdec.hecke import gram_matrix
+from fockdec.laurent import LaurentPoly, parse_poly
+from fockdec.matrices import PartitionMatrix
+from fockdec.partitions import partitions_of
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -24,6 +27,15 @@ def test_golden_decomposition(n, m):
 def test_golden_bar(n, m):
     expected = json.loads((GOLDEN / f"bar-n{n}-m{m}.json").read_text())
     assert bar_matrix(n, m).to_jsonable() == expected
+
+
+def test_golden_gram():
+    expected = json.loads((GOLDEN / "gram-m5.json").read_text())
+    shapes = [tuple(entry["lambda"]) for entry in expected]
+    assert shapes == [lam for m in range(6) for lam in partitions_of(m)]
+    for lam, entry in zip(shapes, expected):
+        rows = [[str(value) for value in row] for row in gram_matrix(lam).rows]
+        assert rows == entry["rows"], lam
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 4)])
@@ -52,6 +64,22 @@ def test_latex_wellformed():
     assert latex.startswith("\\begin{tabular}")
     assert latex.rstrip().endswith("\\end{tabular}")
     assert "$-q^{-1} + q$" in latex
+
+
+def test_latex_exponents_and_coefficients():
+    rows = [
+        [LaurentPoly({-2: 3, 0: -1, 1: 1}), LaurentPoly.zero()],
+        [LaurentPoly({-1: -2, 1: -1, 3: 5}), LaurentPoly({0: 7, 2: -1})],
+    ]
+    matrix = PartitionMatrix(2, 2, [(2,), (1, 1)], rows)
+    assert matrix.to_latex() == (
+        "\\begin{tabular}{l|rr}\n"
+        "$\\lambda\\backslash\\mu$ & $(2)$ & $(1,1)$ \\\\\n"
+        "\\hline\n"
+        "$(2)$ & $3 q^{-2} - 1 + q$ & $0$ \\\\\n"
+        "$(1,1)$ & $-2 q^{-1} - q + 5 q^{3}$ & $7 - q^{2}$ \\\\\n"
+        "\\end{tabular}\n"
+    )
 
 
 def test_text_table_alignment():
