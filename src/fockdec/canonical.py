@@ -11,6 +11,7 @@ violation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from fockdec.errors import ConventionError
 from fockdec.fock import BarMatrix, FockVector, bar_matrix
@@ -105,11 +106,17 @@ def decomposition_matrix(
 
     `order` may be any linear extension of dominance with larger partitions
     first; the resulting matrix is independent of the choice.
+
+    Without `amat` and `order` the matrix is built once per (n, m) and the
+    same object is returned to every caller; callers must not modify it.
+    An explicit `amat` or `order` solves afresh from it.
     """
     if n < 2:
         raise ValueError("modulus n must be >= 2")
     if m < 0:
         raise ValueError("degree m must be >= 0")
+    if amat is None and order is None:
+        return _decomposition_matrix(n, m)
     if amat is None:
         amat = bar_matrix(n, m)
     if order is None:
@@ -118,6 +125,18 @@ def decomposition_matrix(
         order = tuple(tuple(lam) for lam in order)
         if sorted(order) != sorted(partitions_of(m)):
             raise ValueError("order must enumerate all partitions of m")
+    return _solve(n, m, amat, order)
+
+
+# Bounded like `fock._bar_matrix`, whose matrices these are solved from.
+@lru_cache(maxsize=16)
+def _decomposition_matrix(n: int, m: int) -> DecompositionMatrix:
+    return _solve(n, m, bar_matrix(n, m), partitions_of(m))
+
+
+def _solve(
+    n: int, m: int, amat: BarMatrix, order: tuple[Partition, ...]
+) -> DecompositionMatrix:
     columns = {lam: _solve_column(lam, amat, order) for lam in order}
 
     canonical_order = partitions_of(m)
@@ -167,10 +186,10 @@ def gj_identity_check(
     dmat: DecompositionMatrix | None = None,
 ) -> IdentityReport:
     """Entrywise check of D(q) = A(q) * D(q^-1)."""
-    if amat is None:
-        amat = bar_matrix(n, m)
     if dmat is None:
         dmat = decomposition_matrix(n, m, amat=amat)
+    if amat is None:
+        amat = bar_matrix(n, m)
     report = IdentityReport(name="bar-triangle identity", n=n, m=m, passed=True)
     order = dmat.order
     for lam in order:
@@ -198,10 +217,10 @@ def derivative_identity_check(
     dmat: DecompositionMatrix | None = None,
 ) -> IdentityReport:
     """Integer check of d'(1) = (1/2) A'(1) D(1), entrywise."""
-    if amat is None:
-        amat = bar_matrix(n, m)
     if dmat is None:
         dmat = decomposition_matrix(n, m, amat=amat)
+    if amat is None:
+        amat = bar_matrix(n, m)
     report = IdentityReport(name="derivative identity", n=n, m=m, passed=True)
     order = dmat.order
     for lam in order:

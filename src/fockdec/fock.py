@@ -9,6 +9,7 @@ i_k = lambda_k - k + 1.
 from __future__ import annotations
 
 import logging
+from functools import lru_cache
 
 from fockdec import kernel
 from fockdec.laurent import LaurentPoly
@@ -251,25 +252,23 @@ def single_term_form(poly: LaurentPoly) -> tuple[int, int, int] | None:
 
 
 def bar_matrix(n: int, m: int) -> BarMatrix:
-    """Bar-involution transition matrix on degree m, columns indexed by tau."""
+    """Bar-involution transition matrix on degree m, columns indexed by tau.
+
+    The matrix depends only on (n, m), so it is built once per pair and the
+    same object is returned to every caller; callers must not modify it.
+    The diagnostic scan at INFO level runs on every call, cached or not.
+    """
     if n < 2:
         raise ValueError("modulus n must be >= 2")
     if m < 0:
         raise ValueError("degree m must be >= 0")
-    order = partitions_of(m)
-    index = {lam: i for i, lam in enumerate(order)}
-    rows = [[LaurentPoly.zero()] * len(order) for _ in order]
-    for col, tau in enumerate(order):
-        image = bar_partition(tau, n)
-        for lam, coeff in image.terms.items():
-            rows[index[lam]][col] = coeff
-    matrix = BarMatrix(n=n, m=m, order=order, rows=rows)
+    matrix = _bar_matrix(n, m)
     # The scan costs more than the assembly of a warm matrix; skip it unless
     # its messages will be shown.
     if not log.isEnabledFor(logging.INFO):
         return matrix
-    for lam in order:
-        for tau in order:
+    for lam in matrix.order:
+        for tau in matrix.order:
             if lam == tau:
                 continue
             entry = matrix.entry(lam, tau)
@@ -283,3 +282,17 @@ def bar_matrix(n: int, m: int) -> BarMatrix:
                     entry,
                 )
     return matrix
+
+
+# Bounded so that a long-lived process keeps a few degrees at a time: a
+# Theorem-1 sweep holds one pair per n, and `verify` walks the pairs in turn.
+@lru_cache(maxsize=16)
+def _bar_matrix(n: int, m: int) -> BarMatrix:
+    order = partitions_of(m)
+    index = {lam: i for i, lam in enumerate(order)}
+    rows = [[LaurentPoly.zero()] * len(order) for _ in order]
+    for col, tau in enumerate(order):
+        image = bar_partition(tau, n)
+        for lam, coeff in image.terms.items():
+            rows[index[lam]][col] = coeff
+    return BarMatrix(n=n, m=m, order=order, rows=rows)

@@ -269,10 +269,10 @@ def theorem1_check(
     """Check sum formula == derivative side, and both == prediction at q=1."""
     lam = check_partition(lam)
     m = sum(lam)
-    if amat is None:
-        amat = bar_matrix(n, m)
     if dmat is None:
         dmat = decomposition_matrix(n, m, amat=amat)
+    if amat is None:
+        amat = bar_matrix(n, m)
     sum_formula = schaper_sum_rhs(lam, n)
     derivative_side = gabber_joseph_rhs(lam, n, amat)
     prediction = jantzen_prediction(lam, n, dmat)

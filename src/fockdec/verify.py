@@ -8,7 +8,7 @@ lambda) before rendering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from fockdec import canonical, schaper
 from fockdec.fock import FockVector, bar_matrix, bar_partition, bar_vector
@@ -61,26 +61,6 @@ class CheckResult:
         }
 
 
-@dataclass
-class _Context:
-    """Shared matrices so each (n, m) pair is computed once per run."""
-
-    bar: dict = field(default_factory=dict)
-    decomp: dict = field(default_factory=dict)
-
-    def bar_matrix(self, n, m):
-        if (n, m) not in self.bar:
-            self.bar[(n, m)] = bar_matrix(n, m)
-        return self.bar[(n, m)]
-
-    def decomposition_matrix(self, n, m):
-        if (n, m) not in self.decomp:
-            self.decomp[(n, m)] = canonical.decomposition_matrix(
-                n, m, amat=self.bar_matrix(n, m)
-            )
-        return self.decomp[(n, m)]
-
-
 def run_verification(
     max_m: int,
     n_set: tuple[int, ...],
@@ -90,41 +70,40 @@ def run_verification(
     for suite in suites:
         if suite not in ALL_SUITES:
             raise ValueError(f"unknown suite {suite!r}; choose from {ALL_SUITES}")
-    ctx = _Context()
     results: list[CheckResult] = []
     run = {suite: suite in suites for suite in ALL_SUITES}
 
     for n in n_set:
         for m in range(max_m + 1):
             if run["involution"]:
-                results.extend(_involution(ctx, n, m))
+                results.extend(_involution(n, m))
             if run["k-stability"] and m <= K_STABILITY_MAX_M:
                 results.extend(_k_stability(n, m))
             if run["bar-structure"]:
-                results.extend(_bar_structure(ctx, n, m))
+                results.extend(_bar_structure(n, m))
             if run["canonical-structure"]:
-                results.extend(_canonical_structure(ctx, n, m))
+                results.extend(_canonical_structure(n, m))
             if run["bar-triangle"]:
-                results.append(_identity(ctx, n, m, "bar-triangle"))
+                results.append(_identity(n, m, "bar-triangle"))
             if run["derivative"]:
-                results.append(_identity(ctx, n, m, "derivative"))
+                results.append(_identity(n, m, "derivative"))
             if run["theorem1"]:
-                results.extend(_theorem1(ctx, n, m, inject_fault))
+                results.extend(_theorem1(n, m, inject_fault))
             if run["det-bridge"]:
                 results.extend(_det_bridge(n, m))
             if run["oracle"] and _oracle_in_range(n, m):
                 results.extend(_oracle(n, m))
             if run["ariki"] and n in (2, 3) and m <= ARIKI_MAX_M:
-                results.extend(_ariki(ctx, n, m))
+                results.extend(_ariki(n, m))
     if run["semisimple"]:
         for m in range(min(max_m, SEMISIMPLE_MAX_M) + 1):
             for n in range(max(m + 1, 2), m + 4):
-                results.extend(_semisimple(ctx, n, m))
+                results.extend(_semisimple(n, m))
     results.sort(key=lambda r: (r.check, r.n, r.lam if r.lam is not None else ()))
     return results
 
 
-def _involution(ctx, n, m):
+def _involution(n, m):
     for lam in partitions_of(m):
         twice = bar_vector(bar_partition(lam, n), n)
         expected = FockVector.basis(lam)
@@ -153,8 +132,8 @@ def _k_stability(n, m):
         )
 
 
-def _bar_structure(ctx, n, m):
-    amat = ctx.bar_matrix(n, m)
+def _bar_structure(n, m):
+    amat = bar_matrix(n, m)
     try:
         amat.validate()
         structure_ok = True
@@ -181,9 +160,8 @@ def _bar_structure(ctx, n, m):
     )
 
 
-def _canonical_structure(ctx, n, m):
-    amat = ctx.bar_matrix(n, m)
-    dmat = ctx.decomposition_matrix(n, m)
+def _canonical_structure(n, m):
+    dmat = canonical.decomposition_matrix(n, m)
     try:
         dmat.validate()
         ok = True
@@ -208,13 +186,11 @@ def _canonical_structure(ctx, n, m):
         )
 
 
-def _identity(ctx, n, m, which):
-    amat = ctx.bar_matrix(n, m)
-    dmat = ctx.decomposition_matrix(n, m)
+def _identity(n, m, which):
     if which == "bar-triangle":
-        report = canonical.gj_identity_check(n, m, amat, dmat)
+        report = canonical.gj_identity_check(n, m)
     else:
-        report = canonical.derivative_identity_check(n, m, amat, dmat)
+        report = canonical.derivative_identity_check(n, m)
     return CheckResult(
         check=which,
         n=n,
@@ -225,9 +201,9 @@ def _identity(ctx, n, m, which):
     )
 
 
-def _theorem1(ctx, n, m, inject_fault):
-    amat = ctx.bar_matrix(n, m)
-    dmat = ctx.decomposition_matrix(n, m)
+def _theorem1(n, m, inject_fault):
+    amat = bar_matrix(n, m)
+    dmat = canonical.decomposition_matrix(n, m)
     faulted = False
     for lam in partitions_of(m):
         report = schaper.theorem1_check(lam, n, amat, dmat)
@@ -261,9 +237,9 @@ def _det_bridge(n, m):
         )
 
 
-def _semisimple(ctx, n, m):
-    amat = ctx.bar_matrix(n, m)
-    dmat = ctx.decomposition_matrix(n, m)
+def _semisimple(n, m):
+    amat = bar_matrix(n, m)
+    dmat = canonical.decomposition_matrix(n, m)
     identity = all(
         (amat.entry(a, b).is_one() and dmat.entry(a, b).is_one())
         if a == b
@@ -304,8 +280,8 @@ def _oracle(n, m):
         )
 
 
-def _ariki(ctx, n, m):
-    dmat = ctx.decomposition_matrix(n, m)
+def _ariki(n, m):
+    dmat = canonical.decomposition_matrix(n, m)
     ranks = {mu: gram_rank_at_root(mu, n) for mu in partitions_of(m)}
     for lam in partitions_of(m):
         total = sum(

@@ -1,0 +1,93 @@
+"""The bounded caches behind `bar_matrix` and `decomposition_matrix`.
+
+Default calls share one matrix per (n, m); an explicit `amat` or `order`
+solves afresh; readers never change a shared matrix.
+"""
+
+from functools import lru_cache
+
+import pytest
+
+from fockdec import canonical, fock
+from fockdec.canonical import (
+    alternative_order,
+    decomposition_matrix,
+    gj_identity_check,
+)
+from fockdec.errors import ConventionError
+from fockdec.fock import BarMatrix, bar_matrix
+from fockdec.laurent import LaurentPoly
+from fockdec.partitions import partitions_of
+from fockdec.schaper import theorem1_check
+from fockdec.verify import run_verification
+
+
+def counting_builder(monkeypatch, module, name) -> list:
+    """Swap in an empty cache whose builder records each (n, m) it builds."""
+    build = getattr(module, name).__wrapped__
+    built = []
+
+    def counting(n, m):
+        built.append((n, m))
+        return build(n, m)
+
+    monkeypatch.setattr(module, name, lru_cache(maxsize=16)(counting))
+    return built
+
+
+def test_default_calls_share_one_object():
+    assert bar_matrix(3, 5) is bar_matrix(3, 5)
+    assert decomposition_matrix(3, 5) is decomposition_matrix(3, 5)
+
+
+def test_theorem1_sweep_builds_once_per_degree(monkeypatch):
+    bars = counting_builder(monkeypatch, fock, "_bar_matrix")
+    decomps = counting_builder(monkeypatch, canonical, "_decomposition_matrix")
+    for n in (2, 3):
+        for lam in partitions_of(8):
+            assert theorem1_check(lam, n).passed
+    assert bars == [(2, 8), (3, 8)]
+    assert decomps == [(2, 8), (3, 8)]
+
+
+def test_explicit_arguments_bypass_cache():
+    cached = decomposition_matrix(2, 4)
+    before = canonical._decomposition_matrix.cache_info()
+    from_amat = decomposition_matrix(2, 4, amat=bar_matrix(2, 4))
+    from_order = decomposition_matrix(2, 4, order=alternative_order(4))
+    assert canonical._decomposition_matrix.cache_info() == before
+    assert from_amat is not cached and from_amat == cached
+    assert from_order is not cached and from_order == cached
+
+
+def test_explicit_amat_is_solved_from():
+    amat = bar_matrix(2, 3)
+    rows = [list(row) for row in amat.rows]
+    rows[amat.index[(2, 1)]][amat.index[(3,)]] += LaurentPoly.q_power(1)
+    perturbed = BarMatrix(n=2, m=3, order=amat.order, rows=rows)
+    decomposition_matrix(2, 3)
+    with pytest.raises(ConventionError):
+        decomposition_matrix(2, 3, amat=perturbed)
+    with pytest.raises(ConventionError):
+        gj_identity_check(2, 3, amat=perturbed)
+    with pytest.raises(ConventionError):
+        theorem1_check((3,), 2, amat=perturbed)
+    assert bar_matrix(2, 3) == fock._bar_matrix.__wrapped__(2, 3)
+
+
+def test_caches_are_bounded():
+    for builder in (fock._bar_matrix, canonical._decomposition_matrix):
+        assert builder.cache_info().maxsize is not None
+
+
+def test_shared_matrices_unchanged_by_readers():
+    pairs = [(n, m) for n in (2, 3) for m in range(5)]
+    held = {pair: (bar_matrix(*pair), decomposition_matrix(*pair)) for pair in pairs}
+    assert all(result.passed for result in run_verification(4, (2, 3)))
+    for n in (2, 3):
+        for lam in partitions_of(4):
+            assert theorem1_check(lam, n).passed
+    for (n, m), (amat, dmat) in held.items():
+        fresh = fock._bar_matrix.__wrapped__(n, m)
+        assert amat == fresh
+        assert dmat == decomposition_matrix(n, m, amat=fresh)
