@@ -32,7 +32,6 @@ from fockdec.hecke import (
     gram_det_valuation,
     gram_matrix,
     gram_rank_at_root,
-    hecke_multiply,
     murphy_element,
 )
 from fockdec.laurent import (
@@ -96,7 +95,6 @@ __all__ = [
     "gram_det_valuation",
     "gram_matrix",
     "gram_rank_at_root",
-    "hecke_multiply",
     "hook_length",
     "is_regular",
     "jantzen_prediction",

@@ -96,64 +96,48 @@ def _solve_column(
     return {mu: x for mu, x in column.items() if not x.is_zero()}
 
 
-def decomposition_matrix(
-    n: int,
-    m: int,
-    amat: BarMatrix | None = None,
-    order: tuple[Partition, ...] | None = None,
-) -> DecompositionMatrix:
+def decomposition_matrix(n: int, m: int) -> DecompositionMatrix:
     """The q-decomposition matrix on degree m at modulus n.
 
-    `order` may be any linear extension of dominance with larger partitions
-    first; the resulting matrix is independent of the choice.
-
-    Without `amat` and `order` the matrix is built once per (n, m) and the
+    The matrix depends only on (n, m), so it is built once per pair and the
     same object is returned to every caller; callers must not modify it.
-    An explicit `amat` or `order` solves afresh from it.
     """
     if n < 2:
         raise ValueError("modulus n must be >= 2")
     if m < 0:
         raise ValueError("degree m must be >= 0")
-    if amat is None and order is None:
-        return _decomposition_matrix(n, m)
-    if amat is None:
-        amat = bar_matrix(n, m)
-    if order is None:
-        order = partitions_of(m)
-    else:
-        order = tuple(tuple(lam) for lam in order)
-        if sorted(order) != sorted(partitions_of(m)):
-            raise ValueError("order must enumerate all partitions of m")
-    return _solve(n, m, amat, order)
+    return _decomposition_matrix(n, m)
 
 
 # Bounded like `fock._bar_matrix`, whose matrices these are solved from.
 @lru_cache(maxsize=16)
 def _decomposition_matrix(n: int, m: int) -> DecompositionMatrix:
-    return _solve(n, m, bar_matrix(n, m), partitions_of(m))
+    return _solve(bar_matrix(n, m), partitions_of(m))
 
 
-def _solve(
-    n: int, m: int, amat: BarMatrix, order: tuple[Partition, ...]
-) -> DecompositionMatrix:
+def _solve(amat: BarMatrix, order: tuple[Partition, ...]) -> DecompositionMatrix:
+    """Solve every column of D from A, walking the partitions in `order`.
+
+    `order` may be any linear extension of dominance with larger partitions
+    first; the resulting matrix is independent of the choice.
+    """
     columns = {lam: _solve_column(lam, amat, order) for lam in order}
 
-    canonical_order = partitions_of(m)
+    canonical_order = partitions_of(amat.m)
     index = {lam: i for i, lam in enumerate(canonical_order)}
     rows = [[LaurentPoly.zero()] * len(canonical_order) for _ in canonical_order]
     for lam, column in columns.items():
         for mu, coeff in column.items():
             rows[index[mu]][index[lam]] = coeff
-    matrix = DecompositionMatrix(n=n, m=m, order=canonical_order, rows=rows)
+    matrix = DecompositionMatrix(n=amat.n, m=amat.m, order=canonical_order, rows=rows)
     matrix.validate()
     return matrix
 
 
-def canonical_vector(lam: Partition, n: int, amat: BarMatrix | None = None) -> FockVector:
+def canonical_vector(lam: Partition, n: int) -> FockVector:
     """The canonical basis vector G(lam)."""
     lam = check_partition(lam)
-    dmat = decomposition_matrix(n, sum(lam), amat=amat)
+    dmat = decomposition_matrix(n, sum(lam))
     return FockVector(dmat.column(lam))
 
 
@@ -179,17 +163,10 @@ class IdentityReport:
         return "\n".join(lines)
 
 
-def gj_identity_check(
-    n: int,
-    m: int,
-    amat: BarMatrix | None = None,
-    dmat: DecompositionMatrix | None = None,
-) -> IdentityReport:
+def gj_identity_check(n: int, m: int) -> IdentityReport:
     """Entrywise check of D(q) = A(q) * D(q^-1)."""
-    if dmat is None:
-        dmat = decomposition_matrix(n, m, amat=amat)
-    if amat is None:
-        amat = bar_matrix(n, m)
+    amat = bar_matrix(n, m)
+    dmat = decomposition_matrix(n, m)
     report = IdentityReport(name="bar-triangle identity", n=n, m=m, passed=True)
     order = dmat.order
     for lam in order:
@@ -210,17 +187,10 @@ def gj_identity_check(
     return report
 
 
-def derivative_identity_check(
-    n: int,
-    m: int,
-    amat: BarMatrix | None = None,
-    dmat: DecompositionMatrix | None = None,
-) -> IdentityReport:
+def derivative_identity_check(n: int, m: int) -> IdentityReport:
     """Integer check of d'(1) = (1/2) A'(1) D(1), entrywise."""
-    if dmat is None:
-        dmat = decomposition_matrix(n, m, amat=amat)
-    if amat is None:
-        amat = bar_matrix(n, m)
+    amat = bar_matrix(n, m)
+    dmat = decomposition_matrix(n, m)
     report = IdentityReport(name="derivative identity", n=n, m=m, passed=True)
     order = dmat.order
     for lam in order:
@@ -240,10 +210,3 @@ def derivative_identity_check(
                 report.passed = False
                 report.failures.append((lam, mu, str(lhs), str(total // 2)))
     return report
-
-
-def alternative_order(m: int) -> tuple[Partition, ...]:
-    """A second linear extension of dominance: ascending lex on conjugates."""
-    from fockdec.partitions import conjugate
-
-    return tuple(sorted(partitions_of(m), key=conjugate))

@@ -256,32 +256,13 @@ def bar_matrix(n: int, m: int) -> BarMatrix:
 
     The matrix depends only on (n, m), so it is built once per pair and the
     same object is returned to every caller; callers must not modify it.
-    The diagnostic scan at INFO level runs on every call, cached or not.
+    Its multi-term entries are logged at INFO level when it is built.
     """
     if n < 2:
         raise ValueError("modulus n must be >= 2")
     if m < 0:
         raise ValueError("degree m must be >= 0")
-    matrix = _bar_matrix(n, m)
-    # The scan costs more than the assembly of a warm matrix; skip it unless
-    # its messages will be shown.
-    if not log.isEnabledFor(logging.INFO):
-        return matrix
-    for lam in matrix.order:
-        for tau in matrix.order:
-            if lam == tau:
-                continue
-            entry = matrix.entry(lam, tau)
-            if not entry.is_zero() and single_term_form(entry) is None:
-                log.info(
-                    "bar matrix entry (%s, %s) at n=%d is not a single "
-                    "+-q^-j (q^-2 - 1)^i term: %s",
-                    format_partition(lam),
-                    format_partition(tau),
-                    n,
-                    entry,
-                )
-    return matrix
+    return _bar_matrix(n, m)
 
 
 # Bounded so that a long-lived process keeps a few degrees at a time: a
@@ -295,4 +276,20 @@ def _bar_matrix(n: int, m: int) -> BarMatrix:
         image = bar_partition(tau, n)
         for lam, coeff in image.terms.items():
             rows[index[lam]][col] = coeff
-    return BarMatrix(n=n, m=m, order=order, rows=rows)
+    matrix = BarMatrix(n=n, m=m, order=order, rows=rows)
+    # The scan costs more than the assembly of a warm matrix; skip it unless
+    # its messages will be shown.
+    if log.isEnabledFor(logging.INFO):
+        for lam in order:
+            for tau in order:
+                entry = matrix.entry(lam, tau)
+                if lam != tau and not entry.is_zero() and single_term_form(entry) is None:
+                    log.info(
+                        "bar matrix entry (%s, %s) at n=%d is not a single "
+                        "+-q^-j (q^-2 - 1)^i term: %s",
+                        format_partition(lam),
+                        format_partition(tau),
+                        n,
+                        entry,
+                    )
+    return matrix

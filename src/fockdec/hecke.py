@@ -62,11 +62,6 @@ def perm_inverse(w: Perm) -> Perm:
     return tuple(inv)
 
 
-def perm_compose(u: Perm, v: Perm) -> Perm:
-    """(u v)(i) = u(v(i))."""
-    return tuple(u[v[i]] for i in range(len(u)))
-
-
 def right_gen(w: Perm, i: int) -> Perm:
     """w s_i: swap the entries at positions i, i+1."""
     out = list(w)
@@ -210,10 +205,6 @@ class HeckeElement:
     def _check_rank(self, other: "HeckeElement") -> None:
         if self.m != other.m:
             raise ValueError(f"rank mismatch: {self.m} vs {other.m}")
-
-
-def hecke_multiply(x: HeckeElement, y: HeckeElement) -> HeckeElement:
-    return x * y
 
 
 # -- cellular basis ----------------------------------------------------------

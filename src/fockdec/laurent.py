@@ -38,10 +38,6 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def monomial(cls, coeff: int, exp: int) -> "LaurentPoly":
-        return cls({exp: coeff})
-
-    @classmethod
     def q_power(cls, exp: int) -> "LaurentPoly":
         return cls({exp: 1})
 
@@ -80,10 +76,6 @@ class LaurentPoly:
     def is_q_multiple(self) -> bool:
         """True iff the polynomial lies in q.Z[q] (all exponents >= 1)."""
         return all(e >= 1 for e in self._c)
-
-    def nonpositive_part(self) -> "LaurentPoly":
-        """Terms with exponent <= 0; zero iff the value lies in q.Z[q]."""
-        return LaurentPoly({e: c for e, c in self._c.items() if e <= 0})
 
     def is_unit_monomial(self) -> bool:
         """True iff of the form +-q^k."""
@@ -172,9 +164,6 @@ class LaurentPoly:
         """Value of the formal derivative at q = 1: sum of coeff * exponent."""
         return sum(c * e for e, c in self._c.items())
 
-    def is_bar_symmetric(self) -> bool:
-        return self.bar() == self
-
     def is_bar_antisymmetric(self) -> bool:
         return self.bar() == -self
 
@@ -239,10 +228,6 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, data: dict) -> "LaurentPoly":
         return cls({int(e): int(c) for e, c in data.items()})
-
-    @classmethod
-    def from_string(cls, text: str) -> "LaurentPoly":
-        return parse_poly(text)
 
 
 def _wrap(table: dict) -> LaurentPoly:

@@ -191,10 +191,6 @@ def standard_tableaux(lam: Partition) -> tuple[Tableau, ...]:
     return tuple(results)
 
 
-def tableau_shape(t: Tableau) -> Partition:
-    return tuple(len(row) for row in t)
-
-
 def conjugate_tableau(t: Tableau) -> Tableau:
     """Transpose a tableau; sends standard tableaux to standard tableaux."""
     if not t:

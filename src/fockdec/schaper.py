@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from fockdec.canonical import DecompositionMatrix, decomposition_matrix
+from fockdec.canonical import decomposition_matrix
 from fockdec.errors import ConventionError
-from fockdec.fock import BarMatrix, bar_matrix
+from fockdec.fock import bar_matrix
 from fockdec.laurent import nu_quantum
 from fockdec.partitions import (
     Partition,
@@ -170,17 +170,14 @@ def dim_weighting(vector: GrothendieckVector) -> int:
     return sum(value * dim_specht(lam) for lam, value in vector.coords.items())
 
 
-def jantzen_prediction(
-    lam: Partition, n: int, dmat: DecompositionMatrix | None = None
-) -> GrothendieckVector:
+def jantzen_prediction(lam: Partition, n: int) -> GrothendieckVector:
     """Row lam of the decomposition matrix, differentiated at q = 1.
 
     Coordinates land on n-regular labels in the simple basis; this is the
     filtration-layer sum the q-exponents encode.
     """
     lam = check_partition(lam)
-    if dmat is None:
-        dmat = decomposition_matrix(n, sum(lam))
+    dmat = decomposition_matrix(n, sum(lam))
     coords = {}
     for mu in dmat.order:
         if not is_regular(mu, n):
@@ -191,13 +188,10 @@ def jantzen_prediction(
     return simple_vector(coords, n)
 
 
-def gabber_joseph_rhs(
-    lam: Partition, n: int, amat: BarMatrix | None = None
-) -> GrothendieckVector:
+def gabber_joseph_rhs(lam: Partition, n: int) -> GrothendieckVector:
     """Half the derivative at 1 of row lam of the bar matrix, over Specht classes."""
     lam = check_partition(lam)
-    if amat is None:
-        amat = bar_matrix(n, sum(lam))
+    amat = bar_matrix(n, sum(lam))
     coords = {}
     for tau in amat.order:
         value = amat.entry(lam, tau).derivative_at_one()
@@ -211,19 +205,16 @@ def gabber_joseph_rhs(
     return GrothendieckVector(SPECHT, coords)
 
 
-def specht_to_simple(
-    vector: GrothendieckVector, n: int, dmat: DecompositionMatrix | None = None
-) -> GrothendieckVector:
+def specht_to_simple(vector: GrothendieckVector, n: int) -> GrothendieckVector:
     """Change of basis via the q = 1 decomposition numbers."""
     if vector.basis != SPECHT:
         raise ValueError("change of basis defined on Specht-basis vectors")
-    if dmat is None:
-        sizes = {sum(lam) for lam in vector.coords}
-        if not sizes:
-            return GrothendieckVector(SIMPLE)
-        if len(sizes) > 1:
-            raise ValueError("mixed degrees in Specht-basis vector")
-        dmat = decomposition_matrix(n, sizes.pop())
+    sizes = {sum(lam) for lam in vector.coords}
+    if not sizes:
+        return GrothendieckVector(SIMPLE)
+    if len(sizes) > 1:
+        raise ValueError("mixed degrees in Specht-basis vector")
+    dmat = decomposition_matrix(n, sizes.pop())
     coords: dict[Partition, int] = {}
     for tau, value in vector.coords.items():
         for mu in dmat.order:
@@ -260,24 +251,14 @@ class Theorem1Report:
         return "\n".join(lines)
 
 
-def theorem1_check(
-    lam: Partition,
-    n: int,
-    amat: BarMatrix | None = None,
-    dmat: DecompositionMatrix | None = None,
-) -> Theorem1Report:
+def theorem1_check(lam: Partition, n: int) -> Theorem1Report:
     """Check sum formula == derivative side, and both == prediction at q=1."""
     lam = check_partition(lam)
-    m = sum(lam)
-    if dmat is None:
-        dmat = decomposition_matrix(n, m, amat=amat)
-    if amat is None:
-        amat = bar_matrix(n, m)
     sum_formula = schaper_sum_rhs(lam, n)
-    derivative_side = gabber_joseph_rhs(lam, n, amat)
-    prediction = jantzen_prediction(lam, n, dmat)
-    sum_simple = specht_to_simple(sum_formula, n, dmat)
-    derivative_simple = specht_to_simple(derivative_side, n, dmat)
+    derivative_side = gabber_joseph_rhs(lam, n)
+    prediction = jantzen_prediction(lam, n)
+    sum_simple = specht_to_simple(sum_formula, n)
+    derivative_simple = specht_to_simple(derivative_side, n)
     passed = (
         sum_formula == derivative_side
         and sum_simple == prediction

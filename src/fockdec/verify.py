@@ -202,11 +202,9 @@ def _identity(n, m, which):
 
 
 def _theorem1(n, m, inject_fault):
-    amat = bar_matrix(n, m)
-    dmat = canonical.decomposition_matrix(n, m)
     faulted = False
     for lam in partitions_of(m):
-        report = schaper.theorem1_check(lam, n, amat, dmat)
+        report = schaper.theorem1_check(lam, n)
         passed = report.passed
         sum_side = report.sum_formula
         if inject_fault and not faulted and not sum_side.is_zero():

@@ -218,16 +218,26 @@ class TestCache:
 
 
 class TestVerbose:
-    def test_flag_shows_bar_diagnostics(self, tmp_path):
+    @staticmethod
+    def stderr_of(argv, tmp_path) -> str:
         src = Path(fockdec.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
-        argv = ["-v", "bar", "--n", "2", "--m", "6", "--cache-dir", str(tmp_path)]
         proc = subprocess.run(
-            [sys.executable, "-m", "fockdec.cli", *argv],
+            [sys.executable, "-m", "fockdec.cli", "-v", *argv, "--cache-dir", str(tmp_path)],
             capture_output=True,
             text=True,
             env=env,
             timeout=60,
         )
         assert proc.returncode == 0
-        assert "is not a single" in proc.stderr
+        return proc.stderr
+
+    def test_flag_shows_bar_diagnostics(self, tmp_path):
+        assert "is not a single" in self.stderr_of(["bar", "--n", "2", "--m", "6"], tmp_path)
+
+    def test_schaper_logs_each_entry_once(self, tmp_path):
+        # D is solved from A and the Theorem-1 check reads A again; the one
+        # multi-term entry at (2, 6) is logged once, when A is built.
+        stderr = self.stderr_of(["schaper", "--lambda", "4,2", "--n", "2"], tmp_path)
+        assert stderr.count("is not a single") == 1
+        assert "(2,2,1,1, 4,2)" in stderr

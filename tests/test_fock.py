@@ -208,13 +208,15 @@ class TestBarMatrix:
         assert single_term_form(LaurentPoly.zero()) is None
 
     def test_diagnostic_scan_runs_at_info(self, monkeypatch, caplog):
-        # The second call is served from the matrix cache and logs all the same.
+        # The second call is served from the matrix cache and logs nothing.
         calls = count_single_term_form(monkeypatch)
         caplog.set_level(logging.INFO, logger="fockdec.fock")
-        for _ in range(2):
-            caplog.clear()
-            bar_matrix(2, 6)
-            assert any("not a single" in record.getMessage() for record in caplog.records)
+        fock._bar_matrix.cache_clear()
+        bar_matrix(2, 6)
+        bar_matrix(2, 6)
+        logged = [r.getMessage() for r in caplog.records if "not a single" in r.getMessage()]
+        assert len(logged) == 1
+        assert "(2,2,1,1, 4,2)" in logged[0]
         assert calls
 
     def test_diagnostic_scan_skipped_at_warning(self, monkeypatch, caplog):

@@ -1,7 +1,7 @@
 """The bounded caches behind `bar_matrix` and `decomposition_matrix`.
 
-Default calls share one matrix per (n, m); an explicit `amat` or `order`
-solves afresh; readers never change a shared matrix.
+Every call shares one matrix per (n, m); readers never change a shared
+matrix.
 """
 
 from functools import lru_cache
@@ -9,11 +9,7 @@ from functools import lru_cache
 import pytest
 
 from fockdec import canonical, fock
-from fockdec.canonical import (
-    alternative_order,
-    decomposition_matrix,
-    gj_identity_check,
-)
+from fockdec.canonical import decomposition_matrix
 from fockdec.errors import ConventionError
 from fockdec.fock import BarMatrix, bar_matrix
 from fockdec.laurent import LaurentPoly
@@ -50,28 +46,14 @@ def test_theorem1_sweep_builds_once_per_degree(monkeypatch):
     assert decomps == [(2, 8), (3, 8)]
 
 
-def test_explicit_arguments_bypass_cache():
-    cached = decomposition_matrix(2, 4)
-    before = canonical._decomposition_matrix.cache_info()
-    from_amat = decomposition_matrix(2, 4, amat=bar_matrix(2, 4))
-    from_order = decomposition_matrix(2, 4, order=alternative_order(4))
-    assert canonical._decomposition_matrix.cache_info() == before
-    assert from_amat is not cached and from_amat == cached
-    assert from_order is not cached and from_order == cached
-
-
 def test_explicit_amat_is_solved_from():
+    # A perturbed A breaks the antisymmetry the solve relies on.
     amat = bar_matrix(2, 3)
     rows = [list(row) for row in amat.rows]
     rows[amat.index[(2, 1)]][amat.index[(3,)]] += LaurentPoly.q_power(1)
     perturbed = BarMatrix(n=2, m=3, order=amat.order, rows=rows)
-    decomposition_matrix(2, 3)
     with pytest.raises(ConventionError):
-        decomposition_matrix(2, 3, amat=perturbed)
-    with pytest.raises(ConventionError):
-        gj_identity_check(2, 3, amat=perturbed)
-    with pytest.raises(ConventionError):
-        theorem1_check((3,), 2, amat=perturbed)
+        canonical._solve(perturbed, partitions_of(3))
     assert bar_matrix(2, 3) == fock._bar_matrix.__wrapped__(2, 3)
 
 
@@ -90,4 +72,4 @@ def test_shared_matrices_unchanged_by_readers():
     for (n, m), (amat, dmat) in held.items():
         fresh = fock._bar_matrix.__wrapped__(n, m)
         assert amat == fresh
-        assert dmat == decomposition_matrix(n, m, amat=fresh)
+        assert dmat == canonical._solve(fresh, partitions_of(m))
