@@ -31,14 +31,8 @@ def symmetric_lift(c: LaurentPoly) -> LaurentPoly:
 
     Writing c = sum a_j q^j:  p = a_0 + sum_{j>0} a_{-j} (q^j + q^{-j}).
     """
-    table: dict[int, int] = {}
-    for e, coeff in c.items():
-        if e == 0:
-            table[0] = table.get(0, 0) + coeff
-        elif e < 0:
-            table[e] = table.get(e, 0) + coeff
-            table[-e] = table.get(-e, 0) + coeff
-    return LaurentPoly(table)
+    low = {e: a for e, a in c.items() if e <= 0}
+    return LaurentPoly({**low, **{-e: a for e, a in low.items() if e < 0}})
 
 
 def _antisymmetric_lift(r: LaurentPoly) -> LaurentPoly:

@@ -24,6 +24,7 @@ from fockdec.partitions import format_partition, parse_partition
 SCHEMA_VERSION = "fockdec-1"
 
 FORMATS = ("text", "json", "csv", "latex")
+REPORT_FORMATS = ("text", "json")
 
 
 def default_cache_dir() -> Path:
@@ -94,16 +95,6 @@ def cached_matrix(kind: str, n: int, m: int, cache_dir: Path) -> PartitionMatrix
     return matrix
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=FORMATS, default="text")
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="matrix cache directory (default: $FOCKDEC_CACHE or ./.fockdec-cache)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fockdec",
@@ -118,22 +109,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_decomp = sub.add_parser("decomp", help="q-decomposition matrix for (n, m)")
-    p_decomp.add_argument("--n", type=int, required=True)
-    p_decomp.add_argument("--m", type=int, required=True)
-    _add_common(p_decomp)
-
-    p_bar = sub.add_parser("bar", help="bar-involution matrix for (n, m)")
-    p_bar.add_argument("--n", type=int, required=True)
-    p_bar.add_argument("--m", type=int, required=True)
-    _add_common(p_bar)
+    for command, about in (
+        ("decomp", "q-decomposition matrix for (n, m)"),
+        ("bar", "bar-involution matrix for (n, m)"),
+    ):
+        p_matrix = sub.add_parser(command, help=about)
+        p_matrix.add_argument("--n", type=int, required=True)
+        p_matrix.add_argument("--m", type=int, required=True)
+        p_matrix.add_argument("--format", choices=FORMATS, default="text")
+        p_matrix.add_argument(
+            "--cache-dir",
+            type=Path,
+            default=None,
+            help="matrix cache directory (default: $FOCKDEC_CACHE or ./.fockdec-cache)",
+        )
 
     p_schaper = sub.add_parser(
         "schaper", help="sum-formula vector and verdict for one partition"
     )
     p_schaper.add_argument("--lambda", dest="lam", required=True)
     p_schaper.add_argument("--n", type=int, required=True)
-    _add_common(p_schaper)
+    p_schaper.add_argument("--format", choices=REPORT_FORMATS, default="text")
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument("--max-m", type=int, default=6)
@@ -144,13 +140,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated suite names (default: all)",
     )
     p_verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-    _add_common(p_verify)
+    p_verify.add_argument("--format", choices=REPORT_FORMATS, default="text")
+    p_verify.add_argument(
+        "--cache-dir",
+        type=Path,
+        default=None,
+        help="ignored: verify keeps no matrix cache",
+    )
 
     p_gram = sub.add_parser("gram", help="Gram determinant report for one partition")
     p_gram.add_argument("--lambda", dest="lam", required=True)
     p_gram.add_argument("--n", type=int, required=True)
     p_gram.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
-    _add_common(p_gram)
+    p_gram.add_argument("--format", choices=REPORT_FORMATS, default="text")
 
     return parser
 

@@ -12,7 +12,7 @@ import logging
 from functools import lru_cache
 
 from fockdec import kernel
-from fockdec.laurent import LaurentPoly
+from fockdec.laurent import Combination, LaurentPoly, add_into
 from fockdec.matrices import PartitionMatrix
 from fockdec.partitions import (
     Partition,
@@ -53,14 +53,6 @@ def wedge_degree(head: tuple[int, ...]) -> int:
     return sum(value + j for j, value in enumerate(head))
 
 
-def normalize_head(head: tuple[int, ...]) -> tuple[int, ...]:
-    """Drop trailing vacuum entries so the head has minimal length."""
-    head = tuple(head)
-    while head and head[-1] == -len(head) + 1:
-        head = head[:-1]
-    return head
-
-
 def betas_from_wedge(head: tuple[int, ...]) -> tuple[int, ...]:
     """The (m+1)-entry beta-sequence (i_1 + m, ..., i_m + m, 0) of a degree-m word."""
     m = wedge_degree(head)
@@ -70,48 +62,25 @@ def betas_from_wedge(head: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(full[j] + m for j in range(m)) + (0,)
 
 
-class FockVector:
-    """Finite Laurent-combination of partition basis vectors of one degree."""
+class FockVector(Combination):
+    """Finite Laurent-combination of partition basis vectors of one degree.
 
-    __slots__ = ("terms",)
+    Its space is that degree; the zero vector built from no terms has the
+    degree None.
+    """
+
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        table: dict[Partition, LaurentPoly] = {}
-        if terms:
-            for lam, coeff in terms.items():
-                if not isinstance(coeff, LaurentPoly):
-                    coeff = LaurentPoly({0: coeff}) if coeff else LaurentPoly.zero()
-                if not coeff.is_zero():
-                    table[tuple(lam)] = coeff
-        self.terms = table
-        degrees = {sum(lam) for lam in table}
+        self.terms = self._poly_terms(terms)
+        degrees = {sum(lam) for lam in self.terms}
         if len(degrees) > 1:
             raise ValueError(f"mixed degrees in Fock vector: {sorted(degrees)}")
+        self.space = degrees.pop() if degrees else None
 
     @classmethod
     def basis(cls, lam: Partition) -> "FockVector":
         return cls({check_partition(lam): LaurentPoly.one()})
-
-    def coeff(self, lam: Partition) -> LaurentPoly:
-        return self.terms.get(tuple(lam), LaurentPoly.zero())
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        table = dict(self.terms)
-        for lam, coeff in other.terms.items():
-            table[lam] = table.get(lam, LaurentPoly.zero()) + coeff
-        return FockVector(table)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + other.scale(LaurentPoly({0: -1}))
-
-    def scale(self, factor: LaurentPoly) -> "FockVector":
-        return FockVector({lam: coeff * factor for lam, coeff in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, FockVector) and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
@@ -121,20 +90,6 @@ class FockVector:
             for lam, c in sorted(self.terms.items(), reverse=True)
         )
         return f"FockVector({bits})"
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"partition": list(lam), "coefficient": str(coeff)}
-            for lam, coeff in sorted(self.terms.items(), reverse=True)
-        ]
-
-    @classmethod
-    def from_json(cls, data: list[dict]) -> "FockVector":
-        from fockdec.laurent import parse_poly
-
-        return cls(
-            {tuple(item["partition"]): parse_poly(item["coefficient"]) for item in data}
-        )
 
 
 def straighten(head, n: int, budget: int | None = None) -> FockVector:
@@ -193,10 +148,10 @@ def bar_partition(mu: Partition, n: int, k: int | None = None) -> FockVector:
 
 def bar_vector(v: FockVector, n: int, k: int | None = None) -> FockVector:
     """Semilinear extension of the bar involution: bar coefficients, bar terms."""
-    result = FockVector()
+    table: dict = {}
     for lam, coeff in v.terms.items():
-        result = result + bar_partition(lam, n, k).scale(coeff.bar())
-    return result
+        add_into(table, bar_partition(lam, n, k).terms, coeff.bar())
+    return FockVector._make(v.space, table)
 
 
 class BarMatrix(PartitionMatrix):
@@ -232,7 +187,8 @@ def single_term_form(poly: LaurentPoly) -> tuple[int, int, int] | None:
     Returns (sign, k, i) on success and None otherwise.  Off-diagonal bar
     matrix entries are sums of such terms; single-term entries are the common
     case (the q-power exponent comes out of either sign in practice) and the
-    genuinely multi-term ones get logged by bar_matrix at INFO level.
+    genuinely multi-term ones are logged at INFO level by `_bar_matrix` when
+    it builds a matrix.
     """
     if poly.is_zero():
         return None

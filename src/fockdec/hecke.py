@@ -26,7 +26,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from fockdec.errors import ConventionError, ZeroGramDeterminant
-from fockdec.laurent import LaurentPoly, cyclotomic, cyclotomic_valuation
+from fockdec.laurent import (
+    Combination,
+    LaurentPoly,
+    add_into,
+    cyclotomic,
+    cyclotomic_valuation,
+)
 from fockdec.partitions import (
     Partition,
     Tableau,
@@ -87,21 +93,14 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
     return tuple(reversed(word))
 
 
-class HeckeElement:
-    """Finite combination of natural basis elements T_w of one fixed rank."""
+class HeckeElement(Combination):
+    """Finite combination of natural basis elements T_w; its space is the rank m."""
 
-    __slots__ = ("m", "terms")
+    __slots__ = ()
 
     def __init__(self, m: int, terms=None):
-        self.m = m
-        table: dict[Perm, LaurentPoly] = {}
-        if terms:
-            for w, coeff in terms.items():
-                if not isinstance(coeff, LaurentPoly):
-                    coeff = LaurentPoly({0: coeff}) if coeff else LaurentPoly.zero()
-                if not coeff.is_zero():
-                    table[tuple(w)] = coeff
-        self.terms = table
+        self.space = m
+        self.terms = self._poly_terms(terms)
 
     @classmethod
     def t(cls, m: int, w: Perm, coeff: LaurentPoly | int = 1) -> "HeckeElement":
@@ -111,55 +110,28 @@ class HeckeElement:
     def unit(cls, m: int) -> "HeckeElement":
         return cls.t(m, identity_perm(m))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, w: Perm) -> LaurentPoly:
-        return self.terms.get(tuple(w), LaurentPoly.zero())
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        self._check_rank(other)
-        table = dict(self.terms)
-        for w, coeff in other.terms.items():
-            table[w] = table.get(w, LaurentPoly.zero()) + coeff
-        return HeckeElement(self.m, table)
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + other.scale(LaurentPoly({0: -1}))
-
-    def scale(self, factor: LaurentPoly) -> "HeckeElement":
-        return HeckeElement(
-            self.m, {w: coeff * factor for w, coeff in self.terms.items()}
-        )
-
     def right_generator(self, i: int) -> "HeckeElement":
         """Multiply by T_{s_i} on the right."""
         table: dict[Perm, LaurentPoly] = {}
-
-        def add(w, coeff):
-            acc = table.get(w)
-            table[w] = coeff if acc is None else acc + coeff
-
         q = LaurentPoly.q_power(1)
         q_minus_1 = LaurentPoly({1: 1, 0: -1})
         for w, coeff in self.terms.items():
             ws = right_gen(w, i)
             if w[i] < w[i + 1]:
-                add(ws, coeff)
+                add_into(table, {ws: coeff})
             else:
-                add(w, coeff * q_minus_1)
-                add(ws, coeff * q)
-        return HeckeElement(self.m, table)
+                add_into(table, {w: coeff * q_minus_1, ws: coeff * q})
+        return self._make(self.space, table)
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
-        self._check_rank(other)
-        result = HeckeElement(self.m)
+        self._check_space(other)
+        table: dict[Perm, LaurentPoly] = {}
         for v, coeff in other.terms.items():
             partial = self
             for i in reduced_word(v):
                 partial = partial.right_generator(i)
-            result = result + partial.scale(coeff)
-        return result
+            add_into(table, partial.terms, coeff)
+        return self._make(self.space, table)
 
     def times_row_sum(self, lam: Partition) -> "HeckeElement":
         """Multiply on the right by the row sum x_lam of the row-reading tableau.
@@ -182,15 +154,8 @@ class HeckeElement:
 
     def star(self) -> "HeckeElement":
         """The anti-automorphism sending T_w to T at the inverse of w."""
-        return HeckeElement(
-            self.m, {perm_inverse(w): coeff for w, coeff in self.terms.items()}
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HeckeElement)
-            and self.m == other.m
-            and self.terms == other.terms
+        return self._make(
+            self.space, {perm_inverse(w): coeff for w, coeff in self.terms.items()}
         )
 
     def __repr__(self):
@@ -201,10 +166,6 @@ class HeckeElement:
             for w, coeff in sorted(self.terms.items(), key=lambda kv: (perm_length(kv[0]), kv[0]))
         )
         return f"HeckeElement({bits})"
-
-    def _check_rank(self, other: "HeckeElement") -> None:
-        if self.m != other.m:
-            raise ValueError(f"rank mismatch: {self.m} vs {other.m}")
 
 
 # -- cellular basis ----------------------------------------------------------
@@ -268,25 +229,22 @@ class MurphyTable:
 
     def __init__(self, m: int):
         self.m = m
-        # pivot perm -> (pivot coeff, reduced element, cellular expansion)
-        self.records: dict[Perm, tuple[LaurentPoly, HeckeElement, dict]] = {}
+        # pivot perm -> (pivot coeff, reduced terms, cellular expansion)
+        self.records: dict[Perm, tuple[LaurentPoly, dict, dict]] = {}
         for lam in partitions_of(m):
             tableaux = standard_tableaux(lam)
             for si in range(len(tableaux)):
                 for ti in range(len(tableaux)):
                     key = (lam, si, ti)
                     element = murphy_element(tableaux[si], tableaux[ti])
-                    residual, combo = self._reduce(element)
-                    for k, c in combo.items():
-                        combo[k] = -c
-                    combo[key] = combo.get(key, LaurentPoly.zero()) + LaurentPoly.one()
-                    combo = {k: c for k, c in combo.items() if not c.is_zero()}
-                    if residual.is_zero():
+                    residual, used = self._reduce(element)
+                    combo = add_into({key: LaurentPoly.one()}, used, -1)
+                    if not residual:
                         raise ConventionError(
                             f"cellular element {key} is not independent"
                         )
-                    pivot = max(residual.terms, key=_term_order)
-                    coeff = residual.terms[pivot]
+                    pivot = max(residual, key=_term_order)
+                    coeff = residual[pivot]
                     if not coeff.is_unit_monomial():
                         raise ConventionError(
                             f"reduced cellular element {key} has non-unit "
@@ -294,34 +252,34 @@ class MurphyTable:
                         )
                     self.records[pivot] = (coeff, residual, combo)
 
-    def _reduce(self, element: HeckeElement) -> tuple[HeckeElement, dict]:
-        """Eliminate leading terms against existing records.
+    def _reduce(self, element: HeckeElement) -> tuple[dict, dict]:
+        """Eliminate leading terms against existing records, in place on one table.
 
-        Returns the reduced element together with the record combination that
-        was subtracted, expanded in the original cellular elements.
+        Returns the terms of the reduced element together with the record
+        combination that was subtracted, expanded in the original cellular
+        elements.
         """
+        residual = dict(element.terms)
         used: dict[tuple, LaurentPoly] = {}
-        residual = element
-        while not residual.is_zero():
-            lead = max(residual.terms, key=_term_order)
+        while residual:
+            lead = max(residual, key=_term_order)
             record = self.records.get(lead)
             if record is None:
                 break
-            pivot_coeff, pivot_element, combo = record
+            pivot_coeff, pivot_terms, combo = record
             exp, unit = next(iter(pivot_coeff.items()))
-            factor = residual.terms[lead] * LaurentPoly({-exp: unit})
-            residual = residual - pivot_element.scale(factor)
-            for k, c in combo.items():
-                used[k] = used.get(k, LaurentPoly.zero()) + factor * c
+            factor = residual[lead] * LaurentPoly({-exp: unit})
+            add_into(residual, pivot_terms, -factor)
+            add_into(used, combo, factor)
         return residual, used
 
     def express(self, element: HeckeElement) -> dict[tuple, LaurentPoly]:
         """Coordinates of an element in the cellular basis."""
         residual, coords = self._reduce(element)
-        if not residual.is_zero():
-            lead = max(residual.terms, key=_term_order)
+        if residual:
+            lead = max(residual, key=_term_order)
             raise ConventionError(f"no cellular pivot at {lead}")
-        return {key: coeff for key, coeff in coords.items() if not coeff.is_zero()}
+        return coords
 
 
 @lru_cache(maxsize=None)
@@ -486,9 +444,6 @@ class ResidueField:
                 shifted[i] -= lead * self.modulus[i]
         return shifted
 
-    def zero(self) -> tuple:
-        return tuple([Fraction(0)] * self.degree)
-
     def reduce(self, poly: LaurentPoly) -> tuple:
         out = [Fraction(0)] * self.degree
         for e, c in poly.items():
@@ -514,9 +469,6 @@ class ResidueField:
                 for i in range(self.degree):
                     acc[offset + i] -= lead * self.modulus[i]
         return tuple(acc)
-
-    def scale(self, a: tuple, factor: Fraction) -> tuple:
-        return tuple(x * factor for x in a)
 
     def inverse(self, a: tuple) -> tuple:
         """Extended Euclid against the modulus."""
@@ -559,7 +511,6 @@ def gram_rank_at_root(lam: Partition, n: int, size_cap: int = DEFAULT_SIZE_CAP) 
     rows = [[field.reduce(entry) for entry in row] for row in gram.rows]
     size = len(rows)
     rank = 0
-    pivot_col = 0
     for col in range(size):
         pivot = next(
             (r for r in range(rank, size) if any(rows[r][col])), None
@@ -571,9 +522,9 @@ def gram_rank_at_root(lam: Partition, n: int, size_cap: int = DEFAULT_SIZE_CAP) 
         rows[rank] = [field.mul(inv, entry) for entry in rows[rank]]
         for r in range(size):
             if r != rank and any(rows[r][col]):
-                factor = rows[r][col]
+                negated = tuple(-x for x in rows[r][col])
                 rows[r] = [
-                    field.add(rows[r][j], field.scale(field.mul(factor, rows[rank][j]), Fraction(-1)))
+                    field.add(rows[r][j], field.mul(negated, rows[rank][j]))
                     for j in range(size)
                 ]
         rank += 1

@@ -32,6 +32,7 @@ repeated bar matrices at the same n reuse it.
 from __future__ import annotations
 
 from fockdec.errors import StepBudgetExceeded
+from fockdec.laurent import add_product
 
 KERNEL_NAME = "pure"
 
@@ -47,19 +48,6 @@ def clear_cache() -> None:
 
 def cache_size() -> int:
     return sum(len(memo) for memo in _CACHE.values())
-
-
-def _poly_mul(f: dict, g: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = e1 + e2
-            c = out.get(e, 0) + c1 * c2
-            if c:
-                out[e] = c
-            else:
-                del out[e]
-    return out
 
 
 def _expand(head: tuple, j: int, n: int) -> list:
@@ -138,18 +126,6 @@ def straighten_raw(head: tuple, n: int, budget: int = DEFAULT_STEP_BUDGET) -> di
         out: dict = {}
         for coeff, child in children:
             for child_head, child_coeff in memo[child].items():
-                term = _poly_mul(coeff, child_coeff)
-                acc = out.get(child_head)
-                if acc is None:
-                    out[child_head] = term
-                else:
-                    for e, c in term.items():
-                        new = acc.get(e, 0) + c
-                        if new:
-                            acc[e] = new
-                        else:
-                            del acc[e]
-                    if not acc:
-                        del out[child_head]
-        memo[h] = out
+                add_product(out.setdefault(child_head, {}), coeff, child_coeff)
+        memo[h] = {child_head: c for child_head, c in out.items() if c}
     return memo[head]

@@ -3,6 +3,10 @@
 Coefficients are arbitrary-precision Python integers; exponents may be
 negative.  The module also provides quantum integers [h], cyclotomic
 polynomials, and the multiplicity-of-Phi_n valuation used throughout.
+
+It is also the one home of sparse arithmetic: `add_into` and `add_product`
+merge sparse tables, and `Combination` is the base of the package's three
+kinds of vector (Fock-space vectors, Grothendieck vectors, Hecke elements).
 """
 
 from __future__ import annotations
@@ -41,10 +45,6 @@ class LaurentPoly:
     def q_power(cls, exp: int) -> "LaurentPoly":
         return cls({exp: 1})
 
-    @classmethod
-    def from_int(cls, value: int) -> "LaurentPoly":
-        return cls({0: value})
-
     # -- basic structure ----------------------------------------------------
 
     def items(self):
@@ -69,10 +69,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return max(self._c)
 
-    def is_polynomial(self) -> bool:
-        """True iff no negative exponents occur (element of Z[q])."""
-        return all(e >= 0 for e in self._c)
-
     def is_q_multiple(self) -> bool:
         """True iff the polynomial lies in q.Z[q] (all exponents >= 1)."""
         return all(e >= 1 for e in self._c)
@@ -87,15 +83,7 @@ class LaurentPoly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        table = dict(self._c)
-        for e, c in other._c.items():
-            new = table.get(e, 0) + c
-            if new:
-                table[e] = new
-            else:
-                table.pop(e, None)
-        return _wrap(table)
+        return _wrap(add_into(dict(self._c), _coerce(other)._c))
 
     __radd__ = __add__
 
@@ -109,31 +97,9 @@ class LaurentPoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        table = {}
-        for e1, c1 in self._c.items():
-            for e2, c2 in other._c.items():
-                e = e1 + e2
-                new = table.get(e, 0) + c1 * c2
-                if new:
-                    table[e] = new
-                else:
-                    table.pop(e, None)
-        return _wrap(table)
+        return _wrap(add_product({}, self._c, _coerce(other)._c))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers only defined for unit monomials")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -222,17 +188,11 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({str(self)!r})"
 
-    def to_json(self) -> dict[str, int]:
-        return {str(e): c for e, c in sorted(self._c.items())}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LaurentPoly":
-        return cls({int(e): int(c) for e, c in data.items()})
-
 
 def _wrap(table: dict) -> LaurentPoly:
+    """A polynomial on `table` as it stands: it must hold no zero coefficient."""
     poly = LaurentPoly.__new__(LaurentPoly)
-    poly._c = {e: c for e, c in table.items() if c}
+    poly._c = table
     poly._hash = None
     return poly
 
@@ -243,6 +203,116 @@ def _coerce(value) -> LaurentPoly:
     if isinstance(value, int):
         return LaurentPoly({0: value})
     raise TypeError(f"cannot coerce {value!r} to LaurentPoly")
+
+
+# -- sparse combinations -----------------------------------------------------
+
+
+def add_into(acc: dict, terms, factor=None) -> dict:
+    """Add factor * terms into the sparse table `acc` in place; return `acc`.
+
+    `terms` maps keys to coefficients, ints or LaurentPoly alike, and
+    `factor` (default 1) multiplies each of them on the right.  A key whose
+    sum comes out zero leaves `acc`, so a table kept this way never holds a
+    zero coefficient.
+    """
+    items = terms.items()
+    if factor is not None:
+        items = ((key, c * factor) for key, c in items)
+    for key, c in items:
+        old = acc.get(key)
+        if old is not None:
+            c = old + c
+        if c:
+            acc[key] = c
+        elif old is not None:
+            del acc[key]
+    return acc
+
+
+def add_product(acc: dict, f: dict, g: dict) -> dict:
+    """Add f * g into `acc` in place, all three raw {exponent: int} tables.
+
+    f and g must hold no zero coefficient; exponents whose sum comes out zero
+    leave `acc`.  Returns `acc`.
+    """
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = e1 + e2
+            c = acc.get(e, 0) + c1 * c2
+            if c:
+                acc[e] = c
+            else:
+                del acc[e]
+    return acc
+
+
+class Combination:
+    """A finite combination of basis keys with nonzero coefficients.
+
+    `terms` maps each key to its coefficient and `space` names where the
+    keys live: the degree of a FockVector, the rank m of a HeckeElement, the
+    basis tag of a GrothendieckVector.  Only combinations of one class over
+    one space can be added, subtracted or equal.  Subclasses check outside
+    input in `__init__`; the arithmetic here builds its results with `_make`,
+    unchecked, the way `_wrap` builds a LaurentPoly.
+    """
+
+    __slots__ = ("space", "terms")
+
+    # The coefficient of a key that does not occur.
+    zero_coeff = LaurentPoly()
+
+    @classmethod
+    def _make(cls, space, terms: dict):
+        """A combination on `terms` as it stands: no key may map to zero."""
+        out = cls.__new__(cls)
+        out.space = space
+        out.terms = terms
+        return out
+
+    def coeff(self, key):
+        return self.terms.get(tuple(key), self.zero_coeff)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check_space(self, other: "Combination") -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if other.space != self.space:
+            raise ValueError(
+                f"cannot combine {type(self).__name__}s over different spaces: "
+                f"{self.space!r} and {other.space!r}"
+            )
+
+    def __add__(self, other):
+        self._check_space(other)
+        return self._make(self.space, add_into(dict(self.terms), other.terms))
+
+    def __sub__(self, other):
+        self._check_space(other)
+        return self._make(self.space, add_into(dict(self.terms), other.terms, -1))
+
+    def scale(self, factor):
+        return self._make(self.space, add_into({}, self.terms, factor))
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.space == other.space
+            and self.terms == other.terms
+        )
+
+    @staticmethod
+    def _poly_terms(terms) -> dict:
+        """Outside input as {tuple key: nonzero LaurentPoly}; ints are promoted."""
+        table = {}
+        for key, coeff in (terms or {}).items():
+            coeff = _coerce(coeff)
+            if coeff:
+                table[tuple(key)] = coeff
+        return table
 
 
 _TERM_RE = re.compile(

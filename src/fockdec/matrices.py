@@ -39,14 +39,6 @@ class PartitionMatrix:
             if not self.rows[i][j].is_zero()
         }
 
-    def row(self, row_lam: Partition) -> dict[Partition, LaurentPoly]:
-        i = self.index[tuple(row_lam)]
-        return {
-            lam: self.rows[i][j]
-            for j, lam in enumerate(self.order)
-            if not self.rows[i][j].is_zero()
-        }
-
     def __eq__(self, other):
         return (
             isinstance(other, PartitionMatrix)

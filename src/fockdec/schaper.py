@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fockdec.canonical import decomposition_matrix
 from fockdec.errors import ConventionError
 from fockdec.fock import bar_matrix
-from fockdec.laurent import nu_quantum
+from fockdec.laurent import Combination, add_into, nu_quantum
 from fockdec.partitions import (
     Partition,
     check_partition,
@@ -31,81 +31,42 @@ SPECHT = "specht"
 SIMPLE = "simple"
 
 
-class GrothendieckVector:
-    """Integer combination of module classes in a tagged basis."""
+class GrothendieckVector(Combination):
+    """Integer combination of module classes; its space is the basis tag."""
 
-    __slots__ = ("basis", "coords")
+    __slots__ = ()
 
-    def __init__(self, basis: str, coords=None):
+    zero_coeff = 0
+
+    def __init__(self, basis: str, terms=None):
         if basis not in (SPECHT, SIMPLE):
             raise ValueError(f"unknown basis tag {basis!r}")
-        self.basis = basis
-        table: dict[Partition, int] = {}
-        if coords:
-            for lam, value in coords.items():
-                if value:
-                    table[tuple(lam)] = value
-        self.coords = table
-
-    @classmethod
-    def zero(cls, basis: str) -> "GrothendieckVector":
-        return cls(basis)
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def coeff(self, lam: Partition) -> int:
-        return self.coords.get(tuple(lam), 0)
-
-    def _check_same_basis(self, other: "GrothendieckVector") -> None:
-        if self.basis != other.basis:
-            raise ValueError(
-                f"cannot combine {self.basis}-basis and {other.basis}-basis vectors"
-            )
-
-    def __add__(self, other: "GrothendieckVector") -> "GrothendieckVector":
-        self._check_same_basis(other)
-        table = dict(self.coords)
-        for lam, value in other.coords.items():
-            table[lam] = table.get(lam, 0) + value
-        return GrothendieckVector(self.basis, table)
-
-    def __sub__(self, other: "GrothendieckVector") -> "GrothendieckVector":
-        return self + other.scale(-1)
-
-    def scale(self, factor: int) -> "GrothendieckVector":
-        return GrothendieckVector(
-            self.basis, {lam: factor * v for lam, v in self.coords.items()}
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GrothendieckVector)
-            and self.basis == other.basis
-            and self.coords == other.coords
-        )
+        self.space = basis
+        self.terms = {tuple(lam): value for lam, value in (terms or {}).items() if value}
 
     def __repr__(self):
-        if not self.coords:
-            return f"GrothendieckVector({self.basis}, 0)"
-        letter = "S" if self.basis == SPECHT else "D"
+        if not self.terms:
+            return f"GrothendieckVector({self.space}, 0)"
+        letter = "S" if self.space == SPECHT else "D"
         bits = " + ".join(
             f"{v}[{letter}({format_partition(lam)})]"
-            for lam, v in sorted(self.coords.items(), reverse=True)
+            for lam, v in sorted(self.terms.items(), reverse=True)
         ).replace("+ -", "- ")
         return f"GrothendieckVector({bits})"
 
     def to_json(self) -> dict:
         return {
-            "basis": self.basis,
-            "coords": {format_partition(lam): v for lam, v in sorted(self.coords.items(), reverse=True)},
+            "basis": self.space,
+            "coords": {
+                format_partition(lam): v for lam, v in sorted(self.terms.items(), reverse=True)
+            },
         }
 
 
 def simple_vector(coords, n: int) -> GrothendieckVector:
     """A simple-basis vector, validated to be supported on n-regular labels."""
     vector = GrothendieckVector(SIMPLE, coords)
-    for lam in vector.coords:
+    for lam in vector.terms:
         if not is_regular(lam, n):
             raise ValueError(f"simple-basis support contains {lam}, not {n}-regular")
     return vector
@@ -145,11 +106,10 @@ def schaper_sum_rhs(lam: Partition, n: int, s: int | None = None) -> Grothendiec
     coords: dict[Partition, int] = {}
     for weight, betas in _sum_formula_terms(lam, n, s):
         recovered = partition_from_betas(betas)
-        if recovered is None:
-            continue
-        sign, tau = recovered
-        coords[tau] = coords.get(tau, 0) + weight * sign
-    return GrothendieckVector(SPECHT, coords)
+        if recovered is not None:
+            sign, tau = recovered
+            add_into(coords, {tau: sign}, weight)
+    return GrothendieckVector._make(SPECHT, coords)
 
 
 def schaper_det_rhs(lam: Partition, n: int, s: int | None = None) -> int:
@@ -165,9 +125,9 @@ def schaper_det_rhs(lam: Partition, n: int, s: int | None = None) -> int:
 
 def dim_weighting(vector: GrothendieckVector) -> int:
     """Pair a Specht-basis vector with generic Specht dimensions."""
-    if vector.basis != SPECHT:
+    if vector.space != SPECHT:
         raise ValueError("dimension weighting defined on Specht-basis vectors")
-    return sum(value * dim_specht(lam) for lam, value in vector.coords.items())
+    return sum(value * dim_specht(lam) for lam, value in vector.terms.items())
 
 
 def jantzen_prediction(lam: Partition, n: int) -> GrothendieckVector:
@@ -207,22 +167,18 @@ def gabber_joseph_rhs(lam: Partition, n: int) -> GrothendieckVector:
 
 def specht_to_simple(vector: GrothendieckVector, n: int) -> GrothendieckVector:
     """Change of basis via the q = 1 decomposition numbers."""
-    if vector.basis != SPECHT:
+    if vector.space != SPECHT:
         raise ValueError("change of basis defined on Specht-basis vectors")
-    sizes = {sum(lam) for lam in vector.coords}
+    sizes = {sum(lam) for lam in vector.terms}
     if not sizes:
         return GrothendieckVector(SIMPLE)
     if len(sizes) > 1:
         raise ValueError("mixed degrees in Specht-basis vector")
     dmat = decomposition_matrix(n, sizes.pop())
+    regular = [mu for mu in dmat.order if is_regular(mu, n)]
     coords: dict[Partition, int] = {}
-    for tau, value in vector.coords.items():
-        for mu in dmat.order:
-            if not is_regular(mu, n):
-                continue
-            d = dmat.entry(tau, mu).eval_at_one()
-            if d:
-                coords[mu] = coords.get(mu, 0) + value * d
+    for tau, value in vector.terms.items():
+        add_into(coords, {mu: dmat.entry(tau, mu).eval_at_one() for mu in regular}, value)
     return simple_vector(coords, n)
 
 

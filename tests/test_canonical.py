@@ -27,7 +27,7 @@ class TestSymmetricLift:
         assert symmetric_lift(parse_poly("-q^-1 + q")) == parse_poly("-q^-1 - q")
 
     def test_constant_fixed(self):
-        assert symmetric_lift(LaurentPoly.from_int(3)) == LaurentPoly.from_int(3)
+        assert symmetric_lift(LaurentPoly({0: 3})) == LaurentPoly({0: 3})
 
     def test_positive_part_dropped(self):
         assert symmetric_lift(parse_poly("q^2")).is_zero()
@@ -86,7 +86,7 @@ class TestDecompositionMatrix:
                 for mu in dmat.order:
                     for lam in dmat.order:
                         entry = dmat.entry(mu, lam)
-                        assert entry.is_polynomial()
+                        assert all(e >= 0 for e, _ in entry.items())
                         assert entry.coeff(0) == (1 if mu == lam else 0)
                         if not entry.is_zero() and mu != lam:
                             assert dominated_by(mu, lam)

@@ -1,5 +1,6 @@
 """CLI behaviour: formats, exit codes, cache round-trips, fault injection."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,8 @@ from fockdec.cli import MatrixCache, cached_matrix, main
 from fockdec.canonical import DecompositionMatrix, decomposition_matrix
 from fockdec.fock import BarMatrix, bar_matrix
 from fockdec import hecke
+
+BENCHMARK_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def run(argv, capsys):
@@ -128,6 +131,38 @@ class TestVerify:
             main(["verify", "--suite", "nonsense"])
         assert err.value.code == 2
 
+    def test_default_report_matches_benchmark_digest(self, capsys):
+        expected = json.loads(BENCHMARK_EXPECTED.read_text())["full"]["verify"]
+        code, out = run(["verify", "--format", "json"], capsys)
+        assert code == 0
+        assert len(json.loads(out)) == expected["cases"]
+        assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schaper", "--lambda", "2,1", "--n", "2"],
+        ["verify", "--max-m", "1", "--n-set", "2"],
+        ["gram", "--lambda", "2,1", "--n", "2"],
+    ],
+)
+def test_report_commands_reject_matrix_formats(argv, capsys):
+    for fmt in ("csv", "latex"):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--format", fmt])
+        assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["schaper", "--lambda", "2,1", "--n", "2"], ["gram", "--lambda", "2,1", "--n", "2"]],
+)
+def test_cache_dir_only_where_read(argv, capsys, tmp_path):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--cache-dir", str(tmp_path)])
+    assert err.value.code == 2
+
 
 class TestGram:
     def test_column_pair(self, capsys):
@@ -222,8 +257,10 @@ class TestVerbose:
     def stderr_of(argv, tmp_path) -> str:
         src = Path(fockdec.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
+        if argv[0] in ("decomp", "bar"):
+            argv = [*argv, "--cache-dir", str(tmp_path)]
         proc = subprocess.run(
-            [sys.executable, "-m", "fockdec.cli", "-v", *argv, "--cache-dir", str(tmp_path)],
+            [sys.executable, "-m", "fockdec.cli", "-v", *argv],
             capture_output=True,
             text=True,
             env=env,

@@ -28,7 +28,7 @@ class TestGrothendieckVector:
     def test_arithmetic(self):
         a = GrothendieckVector(SPECHT, {(2,): 1, (1, 1): -2})
         b = GrothendieckVector(SPECHT, {(2,): -1})
-        assert (a + b).coords == {(1, 1): -2}
+        assert (a + b).terms == {(1, 1): -2}
         assert (a - a).is_zero()
         assert a.scale(3).coeff((1, 1)) == -6
 
@@ -135,11 +135,11 @@ class TestDimensionBridge:
         # check a few explicit vectors against hand-recoverable partitions.
         v = schaper_sum_rhs((2, 2), 2)
         assert dim_weighting(v) == schaper_det_rhs((2, 2), 2)
-        assert all(sum(lam) == 4 for lam in v.coords)
+        assert all(sum(lam) == 4 for lam in v.terms)
 
     def test_coords_have_fixed_degree(self):
         for n in (2, 3):
             for lam in partitions_of(6):
-                for tau in schaper_sum_rhs(lam, n).coords:
+                for tau in schaper_sum_rhs(lam, n).terms:
                     assert sum(tau) == 6
                     assert dim_specht(tau) >= 1
