@@ -10,17 +10,16 @@ violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from fockdec.errors import ConventionError
 from fockdec.fock import BarMatrix, FockVector, bar_matrix
-from fockdec.laurent import LaurentPoly
+from fockdec.laurent import LaurentPoly, add_into, add_product
 from fockdec.matrices import PartitionMatrix
 from fockdec.partitions import (
     Partition,
     check_partition,
-    dominated_by,
     format_partition,
     partitions_of,
 )
@@ -35,11 +34,11 @@ def symmetric_lift(c: LaurentPoly) -> LaurentPoly:
     return LaurentPoly({**low, **{-e: a for e, a in low.items() if e < 0}})
 
 
-def _antisymmetric_lift(r: LaurentPoly) -> LaurentPoly:
-    """Unique x in q.Z[q] with x - bar(x) = r, for bar-antisymmetric r."""
-    if not r.is_bar_antisymmetric():
+def _antisymmetric_lift(r: dict) -> LaurentPoly:
+    """Unique x in q.Z[q] with x - bar(x) = r, for a bar-antisymmetric raw table r."""
+    if any(r.get(-e) != -c for e, c in r.items()):
         raise ConventionError(
-            f"residual {r} is not antisymmetric under q -> q^-1; "
+            f"residual {LaurentPoly(r)} is not antisymmetric under q -> q^-1; "
             "the bar involution convention is broken upstream"
         )
     return LaurentPoly({e: c for e, c in r.items() if e > 0})
@@ -51,23 +50,10 @@ class DecompositionMatrix(PartitionMatrix):
     kind = "decomposition"
 
     def validate(self) -> None:
-        for mu in self.order:
-            for lam in self.order:
-                entry = self.entry(mu, lam)
-                if mu == lam:
-                    if not entry.is_one():
-                        raise AssertionError(f"diagonal entry at {mu} is {entry}")
-                    continue
-                if entry.is_zero():
-                    continue
-                if not dominated_by(mu, lam):
-                    raise AssertionError(
-                        f"nonzero entry at non-dominated pair {mu}, {lam}"
-                    )
-                if not entry.is_q_multiple():
-                    raise AssertionError(
-                        f"off-diagonal entry at {mu}, {lam} not in q.Z[q]: {entry}"
-                    )
+        self._check_unitriangular(
+            LaurentPoly.is_q_multiple,
+            "off-diagonal entry at {row}, {col} not in q.Z[q]: {entry}",
+        )
 
 
 def _solve_column(
@@ -75,19 +61,29 @@ def _solve_column(
     amat: BarMatrix,
     order: tuple[Partition, ...],
 ) -> dict[Partition, LaurentPoly]:
-    """Triangular solve for the bar-invariant column congruent to |lam>."""
-    start = order.index(lam)
-    column: dict[Partition, LaurentPoly] = {lam: LaurentPoly.one()}
-    for mu in order[start + 1 :]:
-        residual = LaurentPoly.zero()
-        for tau, x in column.items():
-            a = amat.entry(mu, tau)
-            if not a.is_zero():
-                residual = residual + a * x.bar()
-        if residual.is_zero():
-            continue
-        column[mu] = _antisymmetric_lift(residual)
-    return {mu: x for mu, x in column.items() if not x.is_zero()}
+    """Triangular solve for the bar-invariant column congruent to |lam>.
+
+    Once x_tau is final, A[mu, tau] * bar(x_tau) goes into the residual of
+    each mu in column tau of A; every such mu is dominated by tau, so it
+    comes later in `order` and its residual is complete when the walk
+    reaches it.
+    """
+    column: dict[Partition, LaurentPoly] = {}
+    residuals: dict[Partition, dict] = {}
+    for mu in order[order.index(lam) :]:
+        if mu == lam:
+            x = LaurentPoly.one()
+        else:
+            residual = residuals.pop(mu, None)
+            if not residual:
+                continue
+            x = _antisymmetric_lift(residual)
+        column[mu] = x
+        x_bar = x.bar()
+        for nu, a in amat.columns[mu].items():
+            if nu != mu:
+                add_product(residuals.setdefault(nu, {}), a, x_bar)
+    return column
 
 
 def decomposition_matrix(n: int, m: int) -> DecompositionMatrix:
@@ -115,15 +111,11 @@ def _solve(amat: BarMatrix, order: tuple[Partition, ...]) -> DecompositionMatrix
     `order` may be any linear extension of dominance with larger partitions
     first; the resulting matrix is independent of the choice.
     """
-    columns = {lam: _solve_column(lam, amat, order) for lam in order}
-
     canonical_order = partitions_of(amat.m)
-    index = {lam: i for i, lam in enumerate(canonical_order)}
-    rows = [[LaurentPoly.zero()] * len(canonical_order) for _ in canonical_order]
-    for lam, column in columns.items():
-        for mu, coeff in column.items():
-            rows[index[mu]][index[lam]] = coeff
-    matrix = DecompositionMatrix(n=amat.n, m=amat.m, order=canonical_order, rows=rows)
+    columns = {lam: _solve_column(lam, amat, order) for lam in canonical_order}
+    matrix = DecompositionMatrix(
+        n=amat.n, m=amat.m, order=canonical_order, columns=columns
+    )
     matrix.validate()
     return matrix
 
@@ -142,8 +134,11 @@ class IdentityReport:
     name: str
     n: int
     m: int
-    passed: bool
-    failures: list[tuple[Partition, Partition, str, str]] = field(default_factory=list)
+    failures: list[tuple[Partition, Partition, str, str]]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def describe(self) -> str:
         if self.passed:
@@ -158,49 +153,51 @@ class IdentityReport:
 
 
 def gj_identity_check(n: int, m: int) -> IdentityReport:
-    """Entrywise check of D(q) = A(q) * D(q^-1)."""
+    """Entrywise check of D(q) = A(q) * D(q^-1).
+
+    Column mu of the right side sums column tau of A times bar(D[tau, mu])
+    over the nonzeros of column mu of D.
+    """
     amat = bar_matrix(n, m)
     dmat = decomposition_matrix(n, m)
-    report = IdentityReport(name="bar-triangle identity", n=n, m=m, passed=True)
-    order = dmat.order
-    for lam in order:
-        for mu in order:
-            rhs = LaurentPoly.zero()
-            for tau in order:
-                a = amat.entry(lam, tau)
-                if a.is_zero():
-                    continue
-                d = dmat.entry(tau, mu)
-                if d.is_zero():
-                    continue
-                rhs = rhs + a * d.bar()
+    failures = []
+    for mu, d_column in dmat.columns.items():
+        rhs: dict[Partition, dict] = {}
+        for tau, d in d_column.items():
+            d_bar = d.bar()
+            for lam, a in amat.columns[tau].items():
+                add_product(rhs.setdefault(lam, {}), a, d_bar)
+        for lam in d_column.keys() | rhs.keys():
             lhs = dmat.entry(lam, mu)
-            if lhs != rhs:
-                report.passed = False
-                report.failures.append((lam, mu, str(lhs), str(rhs)))
-    return report
+            right = LaurentPoly(rhs.get(lam))
+            if lhs != right:
+                failures.append((lam, mu, str(lhs), str(right)))
+    return IdentityReport("bar-triangle identity", n, m, dmat.row_major(failures))
 
 
 def derivative_identity_check(n: int, m: int) -> IdentityReport:
     """Integer check of d'(1) = (1/2) A'(1) D(1), entrywise."""
     amat = bar_matrix(n, m)
     dmat = decomposition_matrix(n, m)
-    report = IdentityReport(name="derivative identity", n=n, m=m, passed=True)
-    order = dmat.order
-    for lam in order:
-        for mu in order:
-            total = 0
-            for tau in order:
-                a_prime = amat.entry(lam, tau).derivative_at_one()
-                if a_prime == 0:
-                    continue
-                total += a_prime * dmat.entry(tau, mu).eval_at_one()
+    a_prime = {
+        tau: {lam: a.derivative_at_one() for lam, a in column.items()}
+        for tau, column in amat.columns.items()
+    }
+    odd = []
+    failures = []
+    for mu, d_column in dmat.columns.items():
+        totals: dict[Partition, int] = {}
+        for tau, d in d_column.items():
+            add_into(totals, a_prime[tau], d.eval_at_one())
+        for lam in d_column.keys() | totals.keys():
+            total = totals.get(lam, 0)
             if total % 2 != 0:
-                raise ConventionError(
-                    f"odd derivative sum {total} at ({lam}, {mu}), n={n}"
-                )
+                odd.append((lam, mu, total))
+                continue
             lhs = dmat.entry(lam, mu).derivative_at_one()
             if lhs != total // 2:
-                report.passed = False
-                report.failures.append((lam, mu, str(lhs), str(total // 2)))
-    return report
+                failures.append((lam, mu, str(lhs), str(total // 2)))
+    if odd:
+        lam, mu, total = dmat.row_major(odd)[0]
+        raise ConventionError(f"odd derivative sum {total} at ({lam}, {mu}), n={n}")
+    return IdentityReport("derivative identity", n, m, dmat.row_major(failures))

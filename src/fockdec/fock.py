@@ -161,24 +161,10 @@ class BarMatrix(PartitionMatrix):
 
     def validate(self) -> None:
         """Unitriangularity and vanishing at q=1 off the diagonal."""
-        from fockdec.partitions import dominated_by
-
-        for lam in self.order:
-            for tau in self.order:
-                entry = self.entry(lam, tau)
-                if lam == tau:
-                    if not entry.is_one():
-                        raise AssertionError(f"diagonal entry at {lam} is {entry}")
-                    continue
-                if not entry.is_zero():
-                    if not dominated_by(lam, tau):
-                        raise AssertionError(
-                            f"nonzero entry at non-dominated pair {lam}, {tau}"
-                        )
-                    if entry.eval_at_one() != 0:
-                        raise AssertionError(
-                            f"entry at {lam}, {tau} nonzero at q=1: {entry}"
-                        )
+        self._check_unitriangular(
+            lambda entry: entry.eval_at_one() == 0,
+            "entry at {row}, {col} nonzero at q=1: {entry}",
+        )
 
 
 def single_term_form(poly: LaurentPoly) -> tuple[int, int, int] | None:
@@ -226,26 +212,24 @@ def bar_matrix(n: int, m: int) -> BarMatrix:
 @lru_cache(maxsize=16)
 def _bar_matrix(n: int, m: int) -> BarMatrix:
     order = partitions_of(m)
-    index = {lam: i for i, lam in enumerate(order)}
-    rows = [[LaurentPoly.zero()] * len(order) for _ in order]
-    for col, tau in enumerate(order):
-        image = bar_partition(tau, n)
-        for lam, coeff in image.terms.items():
-            rows[index[lam]][col] = coeff
-    matrix = BarMatrix(n=n, m=m, order=order, rows=rows)
+    columns = {tau: bar_partition(tau, n).terms for tau in order}
+    matrix = BarMatrix(n=n, m=m, order=order, columns=columns)
     # The scan costs more than the assembly of a warm matrix; skip it unless
     # its messages will be shown.
     if log.isEnabledFor(logging.INFO):
-        for lam in order:
-            for tau in order:
-                entry = matrix.entry(lam, tau)
-                if lam != tau and not entry.is_zero() and single_term_form(entry) is None:
-                    log.info(
-                        "bar matrix entry (%s, %s) at n=%d is not a single "
-                        "+-q^-j (q^-2 - 1)^i term: %s",
-                        format_partition(lam),
-                        format_partition(tau),
-                        n,
-                        entry,
-                    )
+        multi_term = [
+            (lam, tau, entry)
+            for tau, column in columns.items()
+            for lam, entry in column.items()
+            if lam != tau and single_term_form(entry) is None
+        ]
+        for lam, tau, entry in matrix.row_major(multi_term):
+            log.info(
+                "bar matrix entry (%s, %s) at n=%d is not a single "
+                "+-q^-j (q^-2 - 1)^i term: %s",
+                format_partition(lam),
+                format_partition(tau),
+                n,
+                entry,
+            )
     return matrix

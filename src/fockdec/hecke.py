@@ -344,20 +344,20 @@ def _gram_matrix(lam: Partition) -> GramMatrix:
             m, perm_inverse(tableau_perm(t))
         )
         product = middle.times_row_sum(mu).star().times_row_sum(mu).star()
-        value = LaurentPoly.zero()
-        for key, coeff in table.express(product).items():
+        coords = table.express(product)
+        for key in coords:
             shape = key[0]
             if key == top_key:
-                value = value + coeff
-            elif shape == mu:
+                continue
+            if shape == mu:
                 raise ConventionError(
                     f"product for {lam} has a stray same-shape component {key}"
                 )
-            elif not dominated_by(mu, shape):
+            if not dominated_by(mu, shape):
                 raise ConventionError(
                     f"product for {lam} leaks into non-dominating shape {shape}"
                 )
-        return value
+        return coords.get(top_key, LaurentPoly.zero())
 
     size = len(paired)
     rows = [[LaurentPoly.zero()] * size for _ in range(size)]
@@ -417,115 +417,56 @@ def gram_det_valuation(lam: Partition, n: int, size_cap: int = DEFAULT_SIZE_CAP)
 # -- rank over the residue field ----------------------------------------------
 
 
-class ResidueField:
-    """Q[q] modulo the n-th cyclotomic polynomial, with exact rationals.
-
-    Elements are coefficient tuples of length deg(Phi_n); q is invertible
-    since q^n reduces to 1.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        phi, _shift = cyclotomic(n)._as_poly()
-        self.modulus = [Fraction(c) for c in phi]
-        self.degree = len(phi) - 1
-        powers = []
-        current = [Fraction(1)] + [Fraction(0)] * (self.degree - 1)
-        for _ in range(n):
-            powers.append(tuple(current))
-            current = self._shift_reduce(current)
-        self._q_powers = powers
-
-    def _shift_reduce(self, coeffs: list[Fraction]) -> list[Fraction]:
-        shifted = [Fraction(0)] + list(coeffs)
-        lead = shifted.pop()
-        if lead:
-            for i in range(self.degree):
-                shifted[i] -= lead * self.modulus[i]
-        return shifted
-
-    def reduce(self, poly: LaurentPoly) -> tuple:
-        out = [Fraction(0)] * self.degree
-        for e, c in poly.items():
-            power = self._q_powers[e % self.n]
-            for i in range(self.degree):
-                out[i] += c * power[i]
-        return tuple(out)
-
-    def add(self, a: tuple, b: tuple) -> tuple:
-        return tuple(x + y for x, y in zip(a, b))
-
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        acc = [Fraction(0)] * (2 * self.degree - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        acc[i + j] += x * y
-        while len(acc) > self.degree:
-            lead = acc.pop()
-            if lead:
-                offset = len(acc) - self.degree
-                for i in range(self.degree):
-                    acc[offset + i] -= lead * self.modulus[i]
-        return tuple(acc)
-
-    def inverse(self, a: tuple) -> tuple:
-        """Extended Euclid against the modulus."""
-        if not any(a):
-            raise ZeroDivisionError("inverse of zero in the residue field")
-        r0 = list(self.modulus)
-        r1 = list(a) + [Fraction(0)]
-        s0 = [Fraction(0)] * (self.degree + 1)
-        s1 = [Fraction(1)] + [Fraction(0)] * self.degree
-        while any(r1):
-            d0 = _poly_degree(r0)
-            d1 = _poly_degree(r1)
-            if d0 < d1:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            factor = r0[d0] / r1[d1]
-            shift = d0 - d1
-            for i in range(d1 + 1):
-                r0[i + shift] -= factor * r1[i]
-            for i in range(len(s1) - shift):
-                s0[i + shift] -= factor * s1[i]
-        d0 = _poly_degree(r0)
-        if d0 != 0:
-            raise ZeroDivisionError("element is not invertible (degenerate modulus)")
-        lead = r0[0]
-        return tuple(c / lead for c in s0[: self.degree])
-
-
-def _poly_degree(coeffs: list[Fraction]) -> int:
-    for i in range(len(coeffs) - 1, -1, -1):
-        if coeffs[i]:
-            return i
-    return -1
-
-
 def gram_rank_at_root(lam: Partition, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> int:
-    """Rank of the Gram matrix with q specialized to a primitive n-th root."""
+    """Rank of the Gram matrix with q specialized to a primitive n-th root.
+
+    The residue field Q[q]/(Phi_n) = Q(zeta_n) acts on Q^d, d = deg Phi_n,
+    through the companion matrix C of Phi_n, and C^n = 1.  Replacing each
+    entry f by the d x d block f(C) gives a matrix over Q whose rank is d
+    times the rank over Q(zeta_n); one Gaussian elimination over Fraction
+    finds it.
+
+    The same blocks over Q[q]/(Phi_n^i), from the companion matrix of
+    Phi_n^i, have rank d * sum_k max(0, i - v_k) over the elementary
+    divisors Phi_n^(v_k) of the Gram matrix; the ranks for i = 1, 2, ...
+    thus count the elementary divisors of each valuation, which give the
+    layers of the Jantzen filtration.
+    """
     gram = gram_matrix(lam, size_cap)
-    field = ResidueField(n)
-    rows = [[field.reduce(entry) for entry in row] for row in gram.rows]
-    size = len(rows)
+    phi, _shift = cyclotomic(n)._as_poly()
+    d = len(phi) - 1
+    # reduced[k]: the coefficients of q^k modulo Phi_n, for 0 <= k < n + d.
+    reduced = []
+    current = [1] + [0] * (d - 1)
+    for _ in range(n + d):
+        reduced.append(current)
+        lead = current[-1]
+        current = [x - lead * c for x, c in zip([0] + current[:-1], phi)]
+    # Block column j of f(C) holds f * q^j, reduced; q^n = 1 in the residue field.
+    rows = [
+        [
+            sum(c * reduced[e % n + j][i] for e, c in entry.items())
+            for entry in gram_row
+            for j in range(d)
+        ]
+        for gram_row in gram.rows
+        for i in range(d)
+    ]
+    return _rank(rows) // d
+
+
+def _rank(rows: list[list]) -> int:
+    """Rank over Q by Gaussian elimination; `rows` is reduced in place."""
     rank = 0
-    for col in range(size):
-        pivot = next(
-            (r for r in range(rank, size) if any(rows[r][col])), None
-        )
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inverse(rows[rank][col])
-        rows[rank] = [field.mul(inv, entry) for entry in rows[rank]]
-        for r in range(size):
-            if r != rank and any(rows[r][col]):
-                negated = tuple(-x for x in rows[r][col])
-                rows[r] = [
-                    field.add(rows[r][j], field.mul(negated, rows[rank][j]))
-                    for j in range(size)
-                ]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = Fraction(rows[r][col]) / top[col]
+            if factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], top)]
         rank += 1
     return rank

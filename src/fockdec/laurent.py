@@ -231,10 +231,10 @@ def add_into(acc: dict, terms, factor=None) -> dict:
 
 
 def add_product(acc: dict, f: dict, g: dict) -> dict:
-    """Add f * g into `acc` in place, all three raw {exponent: int} tables.
+    """Add f * g into the raw {exponent: int} table `acc` in place.
 
-    f and g must hold no zero coefficient; exponents whose sum comes out zero
-    leave `acc`.  Returns `acc`.
+    f and g are raw tables or LaurentPoly and must hold no zero coefficient;
+    exponents whose sum comes out zero leave `acc`.  Returns `acc`.
     """
     for e1, c1 in f.items():
         for e2, c2 in g.items():

@@ -1,7 +1,9 @@
 """Square Laurent-polynomial matrices indexed by the partitions of one degree.
 
 Shared container for the bar-involution and decomposition matrices, with the
-three export formats (JSON, CSV, LaTeX) and bit-exact round-tripping.
+three export formats (JSON, CSV, LaTeX) and bit-exact round-tripping.  A
+matrix is stored as the nonzero entries of each column; this module alone
+lays them out as a dense grid, and only to render them.
 """
 
 from __future__ import annotations
@@ -9,35 +11,98 @@ from __future__ import annotations
 import json
 
 from fockdec.laurent import LaurentPoly, parse_poly
-from fockdec.partitions import Partition, format_partition
+from fockdec.partitions import Partition, dominated_by, format_partition
+
+_ZERO = LaurentPoly.zero()
 
 
 class PartitionMatrix:
-    """n, m, a fixed partition order, and a dense grid of LaurentPoly entries."""
+    """n, m, a fixed partition order, and the nonzero entries of each column.
+
+    `columns` maps every label of `order`, in that order, to its column
+    {row label: nonzero LaurentPoly}.  It is the stored form and is
+    read-only: `column()` and `row()` return copies.  `rows` is a dense view
+    built on each access, for rendering.
+    """
 
     kind = "matrix"
 
-    def __init__(self, n: int, m: int, order, rows):
+    def __init__(self, n: int, m: int, order, columns: dict):
         self.n = n
         self.m = m
         self.order: tuple[Partition, ...] = tuple(tuple(lam) for lam in order)
-        self.index = {lam: i for i, lam in enumerate(self.order)}
-        self.rows: list[list[LaurentPoly]] = rows
-        if len(rows) != len(self.order) or any(
-            len(row) != len(self.order) for row in rows
+        self.columns: dict[Partition, dict[Partition, LaurentPoly]] = columns
+        labels = set(self.order)
+        if (
+            tuple(columns) != self.order
+            or any(sum(lam) != m for lam in labels)
+            or any(not labels.issuperset(column) for column in columns.values())
         ):
-            raise ValueError("matrix shape does not match the partition order")
+            raise ValueError("matrix labels do not match the partition order")
+        if any(not entry for column in columns.values() for entry in column.values()):
+            raise ValueError("matrix columns hold a zero entry")
 
     def entry(self, row_lam: Partition, col_lam: Partition) -> LaurentPoly:
-        return self.rows[self.index[tuple(row_lam)]][self.index[tuple(col_lam)]]
+        """The entry at (row_lam, col_lam); KeyError for a label not in `order`."""
+        row_lam = tuple(row_lam)
+        value = self.columns[tuple(col_lam)].get(row_lam)
+        if value is None:
+            if row_lam not in self.columns:
+                raise KeyError(row_lam)
+            return _ZERO
+        return value
 
     def column(self, col_lam: Partition) -> dict[Partition, LaurentPoly]:
-        j = self.index[tuple(col_lam)]
+        return dict(self.columns[tuple(col_lam)])
+
+    def row(self, row_lam: Partition) -> dict[Partition, LaurentPoly]:
+        """The nonzero entries of one row, by column label in `order`."""
+        row_lam = tuple(row_lam)
+        if row_lam not in self.columns:
+            raise KeyError(row_lam)
         return {
-            lam: self.rows[i][j]
-            for i, lam in enumerate(self.order)
-            if not self.rows[i][j].is_zero()
+            col: column[row_lam]
+            for col, column in self.columns.items()
+            if row_lam in column
         }
+
+    @property
+    def rows(self) -> list[list[LaurentPoly]]:
+        """The dense grid: rows[i][j] is the entry at (order[i], order[j])."""
+        columns = list(self.columns.values())
+        return [[column.get(lam, _ZERO) for column in columns] for lam in self.order]
+
+    def row_major(self, cells) -> list:
+        """Records (row, column, ...) sorted into the reading order of `rows`."""
+        position = {lam: i for i, lam in enumerate(self.order)}
+        return sorted(cells, key=lambda cell: (position[cell[0]], position[cell[1]]))
+
+    def _check_unitriangular(self, holds, failure: str) -> None:
+        """Raise AssertionError unless the matrix is unitriangular for dominance.
+
+        Every diagonal entry must be 1, and every other nonzero entry must sit
+        at a row dominated by its column and satisfy `holds(entry)`; else
+        `failure` is formatted with its row, col and entry.  The message
+        raised is that of the first failing entry in row-major order.
+        """
+        failures = []
+        for col in self.order:
+            column = self.columns[col]
+            diagonal = column.get(col, _ZERO)
+            if not diagonal.is_one():
+                failures.append((col, col, f"diagonal entry at {col} is {diagonal}"))
+            for row, entry in column.items():
+                if row == col:
+                    continue
+                if not dominated_by(row, col):
+                    message = f"nonzero entry at non-dominated pair {row}, {col}"
+                elif not holds(entry):
+                    message = failure.format(row=row, col=col, entry=entry)
+                else:
+                    continue
+                failures.append((row, col, message))
+        if failures:
+            raise AssertionError(self.row_major(failures)[0][2])
 
     def __eq__(self, other):
         return (
@@ -45,7 +110,7 @@ class PartitionMatrix:
             and self.n == other.n
             and self.m == other.m
             and self.order == other.order
-            and self.rows == other.rows
+            and self.columns == other.columns
         )
 
     # -- serialization -------------------------------------------------------
@@ -64,8 +129,16 @@ class PartitionMatrix:
     @classmethod
     def from_jsonable(cls, data: dict) -> "PartitionMatrix":
         order = [tuple(lam) for lam in data["order"]]
-        rows = [[parse_poly(text) for text in row] for row in data["entries"]]
-        return cls(n=int(data["n"]), m=int(data["m"]), order=order, rows=rows)
+        grid = data["entries"]
+        if len(grid) != len(order) or any(len(row) != len(order) for row in grid):
+            raise ValueError("matrix shape does not match the partition order")
+        columns = {mu: {} for mu in order}
+        for lam, row in zip(order, grid):
+            for mu, text in zip(order, row):
+                entry = parse_poly(text)
+                if entry:
+                    columns[mu][lam] = entry
+        return cls(n=int(data["n"]), m=int(data["m"]), order=order, columns=columns)
 
     @classmethod
     def from_json(cls, text: str) -> "PartitionMatrix":
@@ -127,4 +200,3 @@ class PartitionMatrix:
                 + "  ".join(cells[i][j].rjust(widths[j]) for j in range(len(labels)))
             )
         return "\n".join(lines) + "\n"
-

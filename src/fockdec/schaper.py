@@ -139,11 +139,9 @@ def jantzen_prediction(lam: Partition, n: int) -> GrothendieckVector:
     lam = check_partition(lam)
     dmat = decomposition_matrix(n, sum(lam))
     coords = {}
-    for mu in dmat.order:
-        if not is_regular(mu, n):
-            continue
-        value = dmat.entry(lam, mu).derivative_at_one()
-        if value:
+    for mu, entry in dmat.row(lam).items():
+        value = entry.derivative_at_one()
+        if value and is_regular(mu, n):
             coords[mu] = value
     return simple_vector(coords, n)
 
@@ -153,8 +151,8 @@ def gabber_joseph_rhs(lam: Partition, n: int) -> GrothendieckVector:
     lam = check_partition(lam)
     amat = bar_matrix(n, sum(lam))
     coords = {}
-    for tau in amat.order:
-        value = amat.entry(lam, tau).derivative_at_one()
+    for tau, entry in amat.row(lam).items():
+        value = entry.derivative_at_one()
         if value == 0:
             continue
         if value % 2 != 0:
@@ -175,10 +173,10 @@ def specht_to_simple(vector: GrothendieckVector, n: int) -> GrothendieckVector:
     if len(sizes) > 1:
         raise ValueError("mixed degrees in Specht-basis vector")
     dmat = decomposition_matrix(n, sizes.pop())
-    regular = [mu for mu in dmat.order if is_regular(mu, n)]
     coords: dict[Partition, int] = {}
     for tau, value in vector.terms.items():
-        add_into(coords, {mu: dmat.entry(tau, mu).eval_at_one() for mu in regular}, value)
+        at_one = {mu: d.eval_at_one() for mu, d in dmat.row(tau).items() if is_regular(mu, n)}
+        add_into(coords, at_one, value)
     return simple_vector(coords, n)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fockdec import canonical, schaper
 from fockdec.fock import FockVector, bar_matrix, bar_partition, bar_vector
 from fockdec.hecke import gram_det_valuation, gram_rank_at_root
+from fockdec.laurent import LaurentPoly
 from fockdec.partitions import (
     dim_specht,
     format_partition,
@@ -144,12 +145,12 @@ def _bar_structure(n, m):
     yield CheckResult(
         check="bar-structure", n=n, lam=None, passed=structure_ok, lhs=detail
     )
-    odd = [
+    odd = amat.row_major(
         (lam, tau)
-        for lam in amat.order
-        for tau in amat.order
-        if amat.entry(lam, tau).derivative_at_one() % 2
-    ]
+        for tau, column in amat.columns.items()
+        for lam, entry in column.items()
+        if entry.derivative_at_one() % 2
+    )
     yield CheckResult(
         check="bar-structure",
         n=n,
@@ -238,12 +239,11 @@ def _det_bridge(n, m):
 def _semisimple(n, m):
     amat = bar_matrix(n, m)
     dmat = canonical.decomposition_matrix(n, m)
+    one = LaurentPoly.one()
     identity = all(
-        (amat.entry(a, b).is_one() and dmat.entry(a, b).is_one())
-        if a == b
-        else (amat.entry(a, b).is_zero() and dmat.entry(a, b).is_zero())
-        for a in amat.order
-        for b in amat.order
+        matrix.columns[lam] == {lam: one}
+        for matrix in (amat, dmat)
+        for lam in matrix.order
     )
     vanishing = all(
         schaper.schaper_sum_rhs(lam, n).is_zero() for lam in partitions_of(m)
@@ -282,9 +282,7 @@ def _ariki(n, m):
     dmat = canonical.decomposition_matrix(n, m)
     ranks = {mu: gram_rank_at_root(mu, n) for mu in partitions_of(m)}
     for lam in partitions_of(m):
-        total = sum(
-            dmat.entry(lam, mu).eval_at_one() * ranks[mu] for mu in partitions_of(m)
-        )
+        total = sum(d.eval_at_one() * ranks[mu] for mu, d in dmat.row(lam).items())
         expected = dim_specht(lam)
         yield CheckResult(
             check="ariki",

@@ -10,7 +10,8 @@ from fockdec.canonical import (
     gj_identity_check,
     symmetric_lift,
 )
-from fockdec.fock import FockVector, bar_matrix, bar_vector
+from fockdec.errors import ConventionError
+from fockdec.fock import BarMatrix, FockVector, bar_matrix, bar_vector
 from fockdec.laurent import LaurentPoly, parse_poly
 from fockdec.partitions import Partition, conjugate, dominated_by, partitions_of
 
@@ -136,3 +137,33 @@ class TestIdentities:
     def test_report_describe(self):
         report = gj_identity_check(2, 3)
         assert "PASS" in report.describe()
+
+
+class TestRowMajorFailures:
+    """Checks walk the sparse columns but report failures row by row."""
+
+    @staticmethod
+    def perturbed_bar():
+        # A at (2, 3), order (3), (2,1), (1,1,1): q is added at ((1,1,1), (3))
+        # and at the diagonal ((2,1), (2,1)).  Column-major, the first failure
+        # is in column (3); row-major, it is the diagonal in row (2,1).
+        amat = bar_matrix(2, 3)
+        q = LaurentPoly.q_power(1)
+        columns = dict(amat.columns)
+        columns[(3,)] = {**amat.columns[(3,)], (1, 1, 1): amat.entry((1, 1, 1), (3,)) + q}
+        columns[(2, 1)] = {**amat.columns[(2, 1)], (2, 1): one + q}
+        return BarMatrix(n=2, m=3, order=amat.order, columns=columns)
+
+    def test_validate_reports_first_failure_in_row_major_order(self):
+        with pytest.raises(AssertionError, match=r"^diagonal entry at \(2, 1\)"):
+            self.perturbed_bar().validate()
+
+    def test_identity_failures_in_row_major_order(self, monkeypatch):
+        monkeypatch.setattr(canonical, "bar_matrix", lambda n, m: self.perturbed_bar())
+        position = {lam: i for i, lam in enumerate(partitions_of(3))}
+        report = gj_identity_check(2, 3)
+        cells = [(lam, mu) for lam, mu, _, _ in report.failures]
+        assert len(cells) >= 2 and not report.passed
+        assert cells == sorted(cells, key=lambda c: (position[c[0]], position[c[1]]))
+        with pytest.raises(ConventionError, match=r"odd derivative sum .* at \(\(2, 1\), "):
+            derivative_identity_check(2, 3)

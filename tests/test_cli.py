@@ -14,7 +14,7 @@ import fockdec
 from fockdec.cli import MatrixCache, cached_matrix, main
 from fockdec.canonical import DecompositionMatrix, decomposition_matrix
 from fockdec.fock import BarMatrix, bar_matrix
-from fockdec import hecke
+from fockdec import canonical, hecke
 
 BENCHMARK_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
@@ -50,6 +50,20 @@ class TestDecomp:
         with pytest.raises(SystemExit) as err:
             main(["decomp", "--n", "1", "--m", "2", "--cache-dir", str(tmp_path)])
         assert err.value.code == 2
+
+
+    @pytest.mark.parametrize("n,m", [(2, 11), (3, 12)])
+    def test_json_matches_benchmark_digest(self, n, m, capsys, tmp_path, monkeypatch):
+        expected = json.loads(BENCHMARK_EXPECTED.read_text())["full"]["decomp"][f"{n},{m}"]
+        argv = ["decomp", "--n", str(n), "--m", str(m), "--format", "json", "--cache-dir", str(tmp_path)]
+        code, computed = run(argv, capsys)
+        assert code == 0
+        # The second run must be served from the file the first one wrote.
+        monkeypatch.setattr(canonical, "decomposition_matrix", None)
+        code, loaded = run(argv, capsys)
+        assert code == 0
+        for out in (computed, loaded):
+            assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 class TestBar:

@@ -8,7 +8,6 @@ from fockdec import hecke
 from fockdec.errors import ConventionError
 from fockdec.hecke import (
     HeckeElement,
-    ResidueField,
     bareiss_determinant,
     gram_det_valuation,
     gram_matrix,
@@ -281,17 +280,24 @@ class TestBareiss:
 
 
 class TestResidueField:
-    def test_reduce_q_powers(self):
-        field = ResidueField(2)
-        # q = -1 at the second root of unity.
-        assert field.reduce(q) == field.reduce(LaurentPoly({0: -1}))
-        assert field.reduce(LaurentPoly.q_power(-1)) == field.reduce(q)
+    """Ranks of Gram matrices over Q[q]/(Phi_n), the field at the n-th root."""
 
-    def test_inverse(self):
-        field = ResidueField(4)
-        value = field.reduce(q + 1)
-        inv = field.inverse(value)
-        assert field.mul(value, inv) == field.reduce(one)
+    # The rank of every partition of m <= 5 (partitions_of order, m = 0..5) at
+    # n = 2..7, as an independent elimination inside Q(zeta_n), with an
+    # extended-Euclid inverse, computed it.
+    PINNED_RANKS = {
+        2: [1, 1, 1, 0, 1, 2, 0, 1, 2, 0, 0, 0, 1, 4, 5, 0, 0, 0, 0],
+        3: [1, 1, 1, 1, 1, 1, 0, 1, 3, 1, 3, 0, 1, 4, 1, 6, 4, 0, 0],
+        4: [1, 1, 1, 1, 1, 2, 1, 1, 2, 2, 1, 0, 1, 4, 4, 6, 1, 4, 0],
+        5: [1, 1, 1, 1, 1, 2, 1, 1, 3, 2, 3, 1, 1, 3, 5, 3, 5, 1, 0],
+        6: [1, 1, 1, 1, 1, 2, 1, 1, 3, 2, 3, 1, 1, 4, 5, 6, 5, 4, 1],
+        7: [1, 1, 1, 1, 1, 2, 1, 1, 3, 2, 3, 1, 1, 4, 5, 6, 5, 4, 1],
+    }
+
+    def test_pinned_ranks(self):
+        shapes = [lam for m in range(6) for lam in partitions_of(m)]
+        for n, expected in self.PINNED_RANKS.items():
+            assert [gram_rank_at_root(lam, n) for lam in shapes] == expected, n
 
     def test_rank_examples(self):
         assert gram_rank_at_root((1, 1), 2) == 0

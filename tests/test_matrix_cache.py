@@ -49,9 +49,10 @@ def test_theorem1_sweep_builds_once_per_degree(monkeypatch):
 def test_explicit_amat_is_solved_from():
     # A perturbed A breaks the antisymmetry the solve relies on.
     amat = bar_matrix(2, 3)
-    rows = [list(row) for row in amat.rows]
-    rows[amat.index[(2, 1)]][amat.index[(3,)]] += LaurentPoly.q_power(1)
-    perturbed = BarMatrix(n=2, m=3, order=amat.order, rows=rows)
+    columns = dict(amat.columns)
+    columns[(3,)] = amat.column((3,))
+    columns[(3,)][(2, 1)] = amat.entry((2, 1), (3,)) + LaurentPoly.q_power(1)
+    perturbed = BarMatrix(n=2, m=3, order=amat.order, columns=columns)
     with pytest.raises(ConventionError):
         canonical._solve(perturbed, partitions_of(3))
     assert bar_matrix(2, 3) == fock._bar_matrix.__wrapped__(2, 3)

@@ -1,4 +1,4 @@
-"""Serialization round-trips and golden regression files."""
+"""The matrix container: sparse columns, serialization round-trips, goldens."""
 
 import json
 from pathlib import Path
@@ -67,11 +67,11 @@ def test_latex_wellformed():
 
 
 def test_latex_exponents_and_coefficients():
-    rows = [
-        [LaurentPoly({-2: 3, 0: -1, 1: 1}), LaurentPoly.zero()],
-        [LaurentPoly({-1: -2, 1: -1, 3: 5}), LaurentPoly({0: 7, 2: -1})],
-    ]
-    matrix = PartitionMatrix(2, 2, [(2,), (1, 1)], rows)
+    columns = {
+        (2,): {(2,): LaurentPoly({-2: 3, 0: -1, 1: 1}), (1, 1): LaurentPoly({-1: -2, 1: -1, 3: 5})},
+        (1, 1): {(1, 1): LaurentPoly({0: 7, 2: -1})},
+    }
+    matrix = PartitionMatrix(2, 2, [(2,), (1, 1)], columns)
     assert matrix.to_latex() == (
         "\\begin{tabular}{l|rr}\n"
         "$\\lambda\\backslash\\mu$ & $(2)$ & $(1,1)$ \\\\\n"
@@ -100,3 +100,63 @@ def test_entries_parse_back():
     data = json.loads((GOLDEN / "decomp-n2-m4.json").read_text())
     entry = data["entries"][4][0]
     assert parse_poly(entry) == parse_poly("q^2")
+
+
+@pytest.mark.parametrize("n,m", [(2, 7), (3, 7)])
+def test_columns_hold_only_nonzero_entries_in_order(n, m):
+    for matrix in (bar_matrix(n, m), decomposition_matrix(n, m)):
+        labels = set(matrix.order)
+        assert tuple(matrix.columns) == matrix.order
+        for column in matrix.columns.values():
+            assert labels.issuperset(column)
+            assert not any(entry.is_zero() for entry in column.values())
+
+
+def test_rows_are_the_dense_view_of_columns():
+    matrix = decomposition_matrix(3, 5)
+    order = matrix.order
+    assert [[matrix.entry(lam, mu) for mu in order] for lam in order] == matrix.rows
+    for lam in order:
+        assert matrix.row(lam) == {mu: matrix.entry(lam, mu) for mu in order if matrix.entry(lam, mu)}
+    before = matrix.entry((1,) * 5, (3, 2))
+    matrix.column((3, 2))[(1,) * 5] = LaurentPoly.q_power(7)
+    assert matrix.entry((1,) * 5, (3, 2)) == before
+
+
+def test_from_jsonable_rejects_ragged_grid():
+    data = bar_matrix(2, 3).to_jsonable()
+    data["entries"][1] = data["entries"][1][:-1]
+    with pytest.raises(ValueError):
+        BarMatrix.from_jsonable(data)
+
+
+@pytest.mark.parametrize("label", [[4], [3]])
+def test_from_jsonable_rejects_label_outside_order(label):
+    # The last label, (1,1,1), becomes a partition of another degree or a
+    # repeat of the first label.
+    data = bar_matrix(2, 3).to_jsonable()
+    data["order"][-1] = label
+    with pytest.raises(ValueError):
+        BarMatrix.from_jsonable(data)
+
+
+def test_constructor_rejects_stray_label_order_or_zero_entry():
+    one = LaurentPoly.one()
+    order = [(2,), (1, 1)]
+    with pytest.raises(ValueError):
+        PartitionMatrix(2, 2, order, {(2,): {(2,): one, (3,): one}, (1, 1): {(1, 1): one}})
+    with pytest.raises(ValueError):
+        PartitionMatrix(2, 2, order, {(2,): {(2,): one}})
+    with pytest.raises(ValueError):
+        PartitionMatrix(2, 2, order, {(1, 1): {(1, 1): one}, (2,): {(2,): one}})
+    with pytest.raises(ValueError):
+        PartitionMatrix(2, 2, order, {(2,): {(2,): one}, (1, 1): {(2,): LaurentPoly.zero()}})
+
+
+def test_entry_rejects_partition_of_another_degree():
+    matrix = decomposition_matrix(2, 3)
+    for row, col in [((2, 2), (3,)), ((3,), (2, 2)), ((1,), (1,))]:
+        with pytest.raises(KeyError):
+            matrix.entry(row, col)
+    with pytest.raises(KeyError):
+        matrix.row((2, 2))
