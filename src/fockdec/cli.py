@@ -21,6 +21,8 @@ from fockdec.laurent import cyclotomic_valuation
 from fockdec.matrices import PartitionMatrix
 from fockdec.partitions import format_partition, parse_partition
 
+log = logging.getLogger(__name__)
+
 SCHEMA_VERSION = "fockdec-1"
 
 FORMATS = ("text", "json", "csv", "latex")
@@ -37,7 +39,10 @@ def default_cache_dir() -> Path:
 class MatrixCache:
     """JSON file cache keyed by (kind, n, m) and the schema version.
 
-    Entries written by an older schema are silently recomputed.
+    `load` serves only an entry of the current schema that parses and passes
+    `validate()`.  Any other entry is recomputed and rewritten by
+    `cached_matrix`; one that parses but fails `validate()` is first logged
+    at WARNING with its path.
     """
 
     def __init__(self, directory: Path):
@@ -61,6 +66,11 @@ class MatrixCache:
         except (KeyError, ValueError):
             return None
         if matrix.n != n or matrix.m != m:
+            return None
+        try:
+            matrix.validate()
+        except AssertionError as exc:
+            log.warning("cache entry %s fails validation, recomputing it: %s", path, exc)
             return None
         return matrix
 

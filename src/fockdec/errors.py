@@ -2,10 +2,10 @@
 
 
 class StepBudgetExceeded(RuntimeError):
-    """Wedge straightening ran past its configured step budget.
+    """Wedge straightening ran past its insertion budget or the recursion limit.
 
-    Raised instead of looping silently; almost always indicates a convention
-    error upstream rather than a genuinely hard instance.
+    Raised instead of looping silently or overflowing the stack; the message
+    names the head, or its length when the head was too long.
     """
 
 

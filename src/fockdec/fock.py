@@ -96,9 +96,10 @@ def straighten(head, n: int, budget: int | None = None) -> FockVector:
     """Normal-order an arbitrary head into a combination of partition wedges.
 
     Requires n >= 2 and every entry exceeding -len(head), so that rewriting
-    never touches the implicit tail.  `budget` caps the rewrite steps
-    (default `kernel.DEFAULT_STEP_BUDGET`); past it StepBudgetExceeded is
-    raised.
+    never touches the implicit tail.  `budget` caps the insertions into a
+    sorted suffix that this call computes (default
+    `kernel.DEFAULT_STEP_BUDGET`; memoized insertions cost nothing); past it
+    StepBudgetExceeded is raised.
     """
     head = tuple(head)
     if n < 2:

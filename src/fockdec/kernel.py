@@ -1,4 +1,4 @@
-"""Wedge normal-ordering kernel: q-wedge straightening by rightmost ascent.
+"""Wedge normal-ordering kernel: q-wedge straightening by sorted insertion.
 
 Heads are tuples of integers; a head of length k stands for the wedge word
 whose implicit tail continues with -k, -k-1, ...  Coefficients are raw
@@ -13,20 +13,29 @@ Rewriting an adjacent out-of-order pair (a, b) with a < b and i = (b-a) mod n
   where d_t alternates i, n, n+i, 2n, 2n+i, ... and the series keeps a term
   only while its first index strictly exceeds its second.
 
-All indices generated lie strictly inside the interval spanned by the pair
-they replace, so a head whose entries exceed -len(head) stays that way.
+The normal form is a right-to-left fold of one operation.  With NF(w) =
+sum of c_T * T over strictly decreasing T,
 
-Each head is rewritten at its *rightmost* ascent.  Everything to the right of
-that ascent is already strictly decreasing, so every rewrite inserts one
-index into a normally ordered suffix and the heads met along the way share
-long sorted tails; for the bar matrices at m = 11..12 the memo holds 7-10
-times fewer heads than with the leftmost ascent.  The rewriting system is
-confluent (Leclerc-Thibon, IMRN 1996): every order of rewrites ends in the
-same normal form, so the choice of ascent changes the work done, never the
-result.
+  NF(x . w) = sum of c_T * insert(x, T),
 
-The memo maps (n, head) to its normal form for the life of the process, so
-repeated bar matrices at the same n reuse it.
+where insert(x, S) normal-orders x placed in front of a strictly decreasing
+S.  If x > S[0] nothing moves, and if x == S[0] the wedge is zero.
+Otherwise the pair (x, S[0]) is rewritten, and each child (y, z) of it
+becomes the fold of insert(y, .) over insert(z, S[1:]).  The rewriting system
+is confluent (Leclerc-Thibon, IMRN 1996), so this order of rewrites reaches
+the same normal form as any other.
+
+Every index a rewrite generates lies strictly inside the interval spanned by
+the pair it replaces, so an insertion never reaches the implicit tail: a head
+whose entries exceed -len(head) stays that way, and insert(x, S) depends
+only on (n, x, S), never on what stands before x or after S.  The memo maps
+(x, S) to insert(x, S) per n for the life of the process, so every head and
+every bar matrix at the same n share it.
+
+Insertions nest about as deep as the head is long (15 levels for the bar
+matrix at m = 16, whose heads have length 16), with two Python frames per
+level.  A head too long for the interpreter's recursion limit raises
+StepBudgetExceeded, naming its length, instead of RecursionError.
 """
 
 from __future__ import annotations
@@ -38,8 +47,10 @@ KERNEL_NAME = "pure"
 
 DEFAULT_STEP_BUDGET = 1_000_000
 
-# n -> {head: {normalized_head: {exponent: coefficient}}}
+# n -> {(x, suffix): {normalized_head: {exponent: coefficient}}}
 _CACHE: dict[int, dict] = {}
+
+_ONE = {0: 1}
 
 
 def clear_cache() -> None:
@@ -50,82 +61,69 @@ def cache_size() -> int:
     return sum(len(memo) for memo in _CACHE.values())
 
 
-def _expand(head: tuple, j: int, n: int) -> list:
-    """Rewrite the ascending adjacent pair at positions j, j+1.
-
-    Returns a list of (coefficient_dict, new_head) pairs.
-    """
-    a = head[j]
-    b = head[j + 1]
-    prefix = head[:j]
-    suffix = head[j + 2 :]
-    swapped = prefix + (b, a) + suffix
+def _pair(a: int, b: int, n: int) -> list:
+    """Rewrite the ascending pair (a, b), a < b: a list of (coeff, first, second)."""
     i = (b - a) % n
     if i == 0:
-        return [({0: -1}, swapped)]
-    children = [({-1: -1}, swapped)]
-    t = 0
-    while True:
-        if t % 2 == 0:
-            delta = (t // 2) * n + i
-        else:
-            delta = ((t + 1) // 2) * n
-        first = b - delta
-        second = a + delta
-        if first <= second:
-            break
+        return [({0: -1}, b, a)]
+    children = [({-1: -1}, b, a)]
+    t, delta = 0, i
+    while b - delta > a + delta:
         sign = -1 if t % 2 else 1
         # (q^{-2} - 1) * (+-q^{-t})
-        coeff = {-t - 2: sign, -t: -sign}
-        children.append((coeff, prefix + (first, second) + suffix))
+        children.append(({-t - 2: sign, -t: -sign}, b - delta, a + delta))
         t += 1
+        delta += n - i if t % 2 else i
     return children
 
 
 def straighten_raw(head: tuple, n: int, budget: int = DEFAULT_STEP_BUDGET) -> dict:
     """Expand a head into normalized wedges: {head: {exponent: coefficient}}.
 
-    Results are memoized per (n, head); callers must treat the returned
-    mapping and its values as read-only.  `budget` caps the number of
-    rewrites this call may combine.
+    Insertions are memoized per (n, x, suffix); callers must treat the
+    returned mapping and its values as read-only.  `budget` caps the number
+    of insertions this call may compute (memoized ones cost nothing).
     """
     memo = _CACHE.setdefault(n, {})
-    cached = memo.get(head)
-    if cached is not None:
-        return cached
     steps = 0
-    # A frame is (head, None) until the head is rewritten, then
-    # (head, children): it stays on the stack below its missing children and
-    # is combined once they are all in the memo.
-    stack: list = [(head, None)]
-    while stack:
-        h, children = stack.pop()
-        if children is None:
-            if h in memo:
-                continue
-            j = len(h) - 2
-            while j >= 0 and h[j] > h[j + 1]:
-                j -= 1
-            if j < 0:
-                memo[h] = {h: {0: 1}}
-                continue
-            if h[j] == h[j + 1]:
-                memo[h] = {}
-                continue
-            children = _expand(h, j, n)
-            missing = [(child, None) for _, child in children if child not in memo]
-            if missing:
-                stack.append((h, children))
-                stack.extend(missing)
-                continue
+
+    def insert(x: int, suffix: tuple) -> dict:
+        nonlocal steps
+        if not suffix or x > suffix[0]:
+            return {(x,) + suffix: _ONE}
+        if x == suffix[0]:
+            return {}
+        key = (x, suffix)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
         steps += 1
         if steps > budget:
             raise StepBudgetExceeded(
-                f"straightening of {head} (n={n}) exceeded {budget} rewrite steps"
+                f"straightening of {head} (n={n}) exceeded {budget} insertions"
             )
         out: dict = {}
-        for coeff, child in children:
-            for child_head, child_coeff in memo[child].items():
-                add_product(out.setdefault(child_head, {}), coeff, child_coeff)
-        memo[h] = {child_head: c for child_head, c in out.items() if c}
-    return memo[head]
+        for coeff, first, second in _pair(x, suffix[0], n):
+            fold(out, first, insert(second, suffix[1:]), coeff)
+        memo[key] = result = {wedge: c for wedge, c in out.items() if c}
+        return result
+
+    def fold(out: dict, x: int, vector: dict, scale: dict) -> None:
+        """Add scale * sum of c_T * insert(x, T) over vector into out."""
+        for word, c in vector.items():
+            factor = add_product({}, scale, c)
+            for wedge, d in insert(x, word).items():
+                add_product(out.setdefault(wedge, {}), factor, d)
+
+    vector: dict = {(): _ONE}
+    try:
+        for x in reversed(head):
+            out: dict = {}
+            fold(out, x, vector, _ONE)
+            vector = {wedge: c for wedge, c in out.items() if c}
+    except RecursionError:
+        raise StepBudgetExceeded(
+            f"straightening a head of length {len(head)} (n={n}) nests deeper "
+            "than the interpreter's recursion limit"
+        ) from None
+    return vector

@@ -130,9 +130,6 @@ class LaurentPoly:
         """Value of the formal derivative at q = 1: sum of coeff * exponent."""
         return sum(c * e for e, c in self._c.items())
 
-    def is_bar_antisymmetric(self) -> bool:
-        return self.bar() == -self
-
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division in the Laurent ring; raises if not divisible."""
         if other.is_zero():

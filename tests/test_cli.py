@@ -237,6 +237,23 @@ class TestCache:
         matrix = cached_matrix("decomp", 2, 2, tmp_path)
         assert matrix == decomposition_matrix(2, 2)
 
+    def test_invalid_entry_warned_and_recomputed(self, capsys, caplog, tmp_path):
+        argv = ["decomp", "--n", "2", "--m", "3", "--format", "csv", "--cache-dir", str(tmp_path)]
+        code, computed = run(argv, capsys)
+        assert code == 0
+        path = tmp_path / "decomp-n2-m3.json"
+        payload = json.loads(path.read_text())
+        order = payload["matrix"]["order"]
+        payload["matrix"]["entries"][order.index([2, 1])][order.index([3])] = "q^-5"
+        path.write_text(json.dumps(payload))
+        with caplog.at_level("WARNING", logger="fockdec.cli"):
+            code, out = run(argv, capsys)
+        assert code == 0
+        assert out == computed
+        assert [record.levelname for record in caplog.records] == ["WARNING"]
+        assert str(path) in caplog.records[0].getMessage()
+        assert "q^-5" not in path.read_text()
+
     def test_store_leaves_only_final_file(self, tmp_path):
         directory = tmp_path / "cache"
         MatrixCache(directory).store("bar", 2, 3, bar_matrix(2, 3))

@@ -117,7 +117,7 @@ class TestStraighten:
             straighten((1, 0), 1)
 
     def test_budget_exhaustion(self):
-        # A memoized head costs no steps, so start from an empty memo.
+        # A memoized insertion costs nothing, so start from an empty memo.
         for budget in (2, 0):
             kernel.clear_cache()
             with pytest.raises(StepBudgetExceeded):

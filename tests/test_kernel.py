@@ -1,13 +1,15 @@
 """The straightening kernel against a reference that rewrites in another order.
 
 The q-wedge rewriting system is confluent, so rewriting the leftmost ascent
-(the reference below) and the rightmost ascent (the kernel) must reach the
-same normal form for every head.
+of whole heads (the reference below) and inserting into sorted suffixes
+(the kernel) must reach the same normal form for every head.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fockdec import canonical, fock, kernel
+from fockdec.errors import StepBudgetExceeded
 from fockdec.fock import bar_matrix, wedge_from_partition
 from fockdec.laurent import LaurentPoly
 from fockdec.partitions import partitions_of
@@ -34,7 +36,10 @@ def reference_straighten(head: tuple, n: int, memo: dict) -> dict:
         elif h[j] == h[j + 1]:
             memo[h] = {}
         else:
-            children = kernel._expand(h, j, n)
+            children = [
+                (coeff, h[:j] + (first, second) + h[j + 2 :])
+                for coeff, first, second in kernel._pair(h[j], h[j + 1], n)
+            ]
             missing = [child for _, child in children if child not in memo]
             if missing:
                 stack.extend(missing)
@@ -58,6 +63,17 @@ def bar_heads(max_m: int):
             yield wedge_from_partition(lam, max(m, len(lam), 1))[::-1]
 
 
+def zero_then_descending(length: int) -> tuple:
+    """The head (0, length-1, ..., 1), whose 0 must pass every other index."""
+    return (0,) + tuple(range(length - 1, 0, -1))
+
+
+def zero_then_descending_nf(length: int, n: int) -> dict:
+    """Its normal form: (-1)^(length-1) q^(-#{1 <= b < length : n does not divide b})."""
+    exponent = -sum(1 for b in range(1, length) if b % n)
+    return {tuple(range(length - 1, -1, -1)): {exponent: (-1) ** (length - 1)}}
+
+
 class TestAgainstReference:
     def test_bar_heads(self):
         heads = list(bar_heads(9))
@@ -74,6 +90,16 @@ class TestAgainstReference:
     def test_random_heads(self, head, n):
         assert kernel_straighten(head, n) == reference_straighten(head, n, {})
 
+    def test_zero_then_descending_formula(self):
+        for n in (2, 3):
+            memo: dict = {}
+            for length in range(2, 13):
+                head = zero_then_descending(length)
+                expected = {
+                    wedge: LaurentPoly(c) for wedge, c in zero_then_descending_nf(length, n).items()
+                }
+                assert reference_straighten(head, n, memo) == expected
+
 
 class TestInterface:
     def test_exposes_interface(self):
@@ -81,28 +107,43 @@ class TestInterface:
         assert kernel.DEFAULT_STEP_BUDGET > 0
         kernel.clear_cache()
         assert kernel.cache_size() == 0
+        # A head already in normal order inserts nothing that needs a rewrite.
         assert kernel.straighten_raw((1, 0), 2) == {(1, 0): {0: 1}}
-        assert kernel.cache_size() == 1
+        assert kernel.cache_size() == 0
+        kernel.straighten_raw((0, 1), 2)
+        assert kernel.cache_size() >= 1
 
 
 class TestWork:
     def test_memo_bound(self):
-        # Leftmost-ascent rewriting left 62,655 entries here; the lower bound
-        # fails if the matrix came from a cache and straightened nothing.
+        # Memoizing whole heads left 11,195 entries here; insertions into
+        # sorted suffixes leave 2,097.
         cold_start()
+        assert kernel.cache_size() == 0
+        misses = fock._bar_matrix.cache_info().misses
         bar_matrix(2, 10)
-        assert 10_000 <= kernel.cache_size() <= 15_000
+        assert fock._bar_matrix.cache_info().misses == misses + 1
+        assert 0 < kernel.cache_size() <= 2_500
 
-    def test_each_head_expanded_once(self, monkeypatch):
+    def test_each_insertion_computed_once(self, monkeypatch):
         calls = []
-        expand = kernel._expand
+        pair = kernel._pair
 
-        def counting_expand(head, j, n):
-            calls.append(head)
-            return expand(head, j, n)
+        def counting_pair(a, b, n):
+            calls.append((a, b))
+            return pair(a, b, n)
 
-        monkeypatch.setattr(kernel, "_expand", counting_expand)
+        monkeypatch.setattr(kernel, "_pair", counting_pair)
         cold_start()
         bar_matrix(2, 8)
         assert calls
-        assert len(calls) == len(set(calls))
+        assert len(calls) == kernel.cache_size()
+
+    def test_long_heads_beyond_whole_head_rewriting(self):
+        # Rewriting whole heads ran out of its default budget on these.
+        for n in (2, 3):
+            assert kernel.straighten_raw(zero_then_descending(50), n) == zero_then_descending_nf(50, n)
+
+    def test_too_deep_head_fails_clearly(self):
+        with pytest.raises(StepBudgetExceeded, match="length 1200"):
+            kernel.straighten_raw(zero_then_descending(1200), 2)
