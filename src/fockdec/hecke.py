@@ -7,6 +7,15 @@ come from the cellular basis m_{st} = T_{d(s)*} x_shape T_{d(t)} with x the
 sum of T_w over a row stabilizer, and Gram matrices are extracted by exact
 elimination against that basis.
 
+The arithmetic runs on raw tables {perm: {exponent: int}} that never hold an
+empty coefficient, merged only with `laurent.add_product`, as in the
+straightening kernel: multiplication by T_i, by T_w along a reduced word of
+w, by a row sum, and the anti-automorphism *.  Coefficients become
+`LaurentPoly` only at the API boundary (`HeckeElement`, `murphy_element`,
+`MurphyTable.express`, `GramMatrix.rows`).  Elimination takes as its lead the
+term latest in (length, one-line word) order, read from a rank table built
+once per m.
+
 The row sum x is never enumerated: products with it are formed one row block
 at a time through the distinguished coset factorisation
 x_{S_k} = x_{S_{k-1}} (1 + T_{k-1} + T_{k-1} T_{k-2} + ... + T_{k-1}...T_1),
@@ -21,15 +30,16 @@ are insensitive to the remaining unit and q-power normalization choices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
 from fockdec.errors import ConventionError, ZeroGramDeterminant
 from fockdec.laurent import (
     Combination,
     LaurentPoly,
-    add_into,
+    add_product,
     cyclotomic,
     cyclotomic_valuation,
 )
@@ -93,14 +103,94 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
     return tuple(reversed(word))
 
 
+def _term_order(w: Perm):
+    return (perm_length(w), w)
+
+
+# -- raw tables {perm: {exponent: int}} ---------------------------------------
+
+_ONE = {0: 1}
+_Q = {1: 1}
+_Q_MINUS_1 = {1: 1, 0: -1}
+
+
+def _add_scaled(acc: dict, terms: dict, factor) -> dict:
+    """Add factor * terms into the raw table `acc` in place; return `acc`.
+
+    The coefficients of `terms` and `factor` may be raw tables or LaurentPoly;
+    a perm whose coefficient cancels leaves `acc`.
+    """
+    for w, c in terms.items():
+        coeff = acc.get(w)
+        if coeff is None:
+            acc[w] = add_product({}, c, factor)
+        elif not add_product(coeff, c, factor):
+            del acc[w]
+    return acc
+
+
+def _right_generator(terms: dict, i: int) -> dict:
+    """terms * T_{s_i}, by the quadratic relation."""
+    out: dict = {}
+    for w, c in terms.items():
+        ws = right_gen(w, i)
+        if w[i] < w[i + 1]:
+            add_product(out.setdefault(ws, {}), c, _ONE)
+        else:
+            add_product(out.setdefault(w, {}), c, _Q_MINUS_1)
+            add_product(out.setdefault(ws, {}), c, _Q)
+    return {w: c for w, c in out.items() if c}
+
+
+def _times_t(terms: dict, v: Perm) -> dict:
+    """terms * T_v, one generator at a time along a reduced word of v."""
+    for i in reduced_word(v):
+        terms = _right_generator(terms, i)
+    return terms
+
+
+def _times_row_sum(terms: dict, lam: Partition) -> dict:
+    """terms * x_lam, the row sum of the row-reading tableau.
+
+    Each row block, and each step k within it, multiplies by the sum of
+    T_d over the distinguished coset representatives d = s_{k-1}...s_j of
+    S_{k-1} in S_k; the row blocks commute.
+    """
+    result = terms
+    start = 0
+    for part in lam:
+        for top in range(start + 1, start + part):
+            total = _add_scaled({}, result, _ONE)
+            step = result
+            for i in range(top - 1, start - 1, -1):
+                step = _right_generator(step, i)
+                _add_scaled(total, step, _ONE)
+            result = total
+        start += part
+    return result
+
+
+def _star(terms: dict) -> dict:
+    """The anti-automorphism sending T_w to T at the inverse of w."""
+    return {perm_inverse(w): c for w, c in terms.items()}
+
+
 class HeckeElement(Combination):
-    """Finite combination of natural basis elements T_w; its space is the rank m."""
+    """Finite combination of natural basis elements T_w; its space is the rank m.
+
+    The arithmetic is that of the raw tables above, wrapped back into
+    `LaurentPoly` coefficients.
+    """
 
     __slots__ = ()
 
     def __init__(self, m: int, terms=None):
         self.space = m
         self.terms = self._poly_terms(terms)
+        identity = list(range(m))
+        for w in self.terms:
+            if sorted(w) != identity:
+                raise ValueError(f"key {w} is not a permutation of range({m})")
 
     @classmethod
     def t(cls, m: int, w: Perm, coeff: LaurentPoly | int = 1) -> "HeckeElement":
@@ -110,60 +200,35 @@ class HeckeElement(Combination):
     def unit(cls, m: int) -> "HeckeElement":
         return cls.t(m, identity_perm(m))
 
+    @classmethod
+    def _from_raw(cls, m: int, table: dict) -> "HeckeElement":
+        return cls._make(m, {w: LaurentPoly(c) for w, c in table.items()})
+
     def right_generator(self, i: int) -> "HeckeElement":
         """Multiply by T_{s_i} on the right."""
-        table: dict[Perm, LaurentPoly] = {}
-        q = LaurentPoly.q_power(1)
-        q_minus_1 = LaurentPoly({1: 1, 0: -1})
-        for w, coeff in self.terms.items():
-            ws = right_gen(w, i)
-            if w[i] < w[i + 1]:
-                add_into(table, {ws: coeff})
-            else:
-                add_into(table, {w: coeff * q_minus_1, ws: coeff * q})
-        return self._make(self.space, table)
+        return self._from_raw(self.space, _right_generator(self.terms, i))
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
         self._check_space(other)
-        table: dict[Perm, LaurentPoly] = {}
+        table: dict = {}
         for v, coeff in other.terms.items():
-            partial = self
-            for i in reduced_word(v):
-                partial = partial.right_generator(i)
-            add_into(table, partial.terms, coeff)
-        return self._make(self.space, table)
+            _add_scaled(table, _times_t(self.terms, v), coeff)
+        return self._from_raw(self.space, table)
 
     def times_row_sum(self, lam: Partition) -> "HeckeElement":
-        """Multiply on the right by the row sum x_lam of the row-reading tableau.
-
-        Each row block, and each step k within it, multiplies by the sum of
-        T_d over the distinguished coset representatives d = s_{k-1}...s_j of
-        S_{k-1} in S_k; the row blocks commute.
-        """
-        result = self
-        start = 0
-        for part in lam:
-            for top in range(start + 1, start + part):
-                total = step = result
-                for i in range(top - 1, start - 1, -1):
-                    step = step.right_generator(i)
-                    total = total + step
-                result = total
-            start += part
-        return result
+        """Multiply on the right by the row sum x_lam of the row-reading tableau."""
+        return self._from_raw(self.space, _times_row_sum(self.terms, lam))
 
     def star(self) -> "HeckeElement":
         """The anti-automorphism sending T_w to T at the inverse of w."""
-        return self._make(
-            self.space, {perm_inverse(w): coeff for w, coeff in self.terms.items()}
-        )
+        return self._make(self.space, _star(self.terms))
 
     def __repr__(self):
         if not self.terms:
             return "HeckeElement(0)"
         bits = " + ".join(
             f"({coeff})T{list(w)}"
-            for w, coeff in sorted(self.terms.items(), key=lambda kv: (perm_length(kv[0]), kv[0]))
+            for w, coeff in sorted(self.terms.items(), key=lambda kv: _term_order(kv[0]))
         )
         return f"HeckeElement({bits})"
 
@@ -200,86 +265,97 @@ def tableau_perm(t: Tableau) -> Perm:
     return tuple(word)
 
 
+def _left_factor(s: Tableau) -> dict:
+    """T_{d(s)*} x_shape, the part of m_{st} that does not depend on t."""
+    shape = tuple(len(row) for row in s)
+    return _times_row_sum({perm_inverse(tableau_perm(s)): {0: 1}}, shape)
+
+
 def murphy_element(s: Tableau, t: Tableau) -> HeckeElement:
     """The cellular basis element attached to a pair of standard tableaux."""
     shape_s = tuple(len(row) for row in s)
     shape_t = tuple(len(row) for row in t)
     if shape_s != shape_t:
         raise ValueError(f"shape mismatch: {shape_s} vs {shape_t}")
-    m = sum(shape_s)
-    left = HeckeElement.t(m, perm_inverse(tableau_perm(s))).times_row_sum(shape_s)
-    return left * HeckeElement.t(m, tableau_perm(t))
-
-
-def _term_order(w: Perm):
-    return (perm_length(w), w)
+    terms = _times_t(_left_factor(s), tableau_perm(t))
+    return HeckeElement._from_raw(sum(shape_s), terms)
 
 
 class MurphyTable:
     """Change of basis between the natural and cellular bases of one rank.
 
     Cellular elements are processed shape-graded (dominance-descending) and
-    echelonized against the natural basis ordered by (length, one-line word):
-    each reduced row keeps a distinct pivot permutation carrying a
-    unit-monomial coefficient, and remembers its own expansion in the
-    original cellular elements.  Every pivot being a unit makes all later
+    echelonized against the natural basis ordered by (length, one-line word),
+    held as `rank`: each reduced row keeps a distinct pivot permutation
+    carrying a unit-monomial coefficient, and remembers its own expansion in
+    the original cellular elements.  Every pivot being a unit makes all later
     divisions exact; a non-unit pivot raises ConventionError since it would
     mean the documented order is not triangular after all.
     """
 
     def __init__(self, m: int):
         self.m = m
-        # pivot perm -> (pivot coeff, reduced terms, cellular expansion)
-        self.records: dict[Perm, tuple[LaurentPoly, dict, dict]] = {}
+        self.rank = {
+            w: r for r, w in enumerate(sorted(permutations(range(m)), key=_term_order))
+        }
+        # pivot perm -> (exponent, sign) of its unit coefficient, reduced terms,
+        # cellular expansion; the last two are raw tables
+        self.records: dict[Perm, tuple[int, int, dict, dict]] = {}
         for lam in partitions_of(m):
             tableaux = standard_tableaux(lam)
-            for si in range(len(tableaux)):
-                for ti in range(len(tableaux)):
+            for si, s in enumerate(tableaux):
+                left = _left_factor(s)
+                for ti, t in enumerate(tableaux):
                     key = (lam, si, ti)
-                    element = murphy_element(tableaux[si], tableaux[ti])
-                    residual, used = self._reduce(element)
-                    combo = add_into({key: LaurentPoly.one()}, used, -1)
+                    residual, used = self._reduce(_times_t(left, tableau_perm(t)))
                     if not residual:
                         raise ConventionError(
                             f"cellular element {key} is not independent"
                         )
-                    pivot = max(residual, key=_term_order)
-                    coeff = residual[pivot]
+                    pivot = self._lead(residual)
+                    coeff = LaurentPoly(residual[pivot])
                     if not coeff.is_unit_monomial():
                         raise ConventionError(
                             f"reduced cellular element {key} has non-unit "
                             f"pivot coefficient {coeff} at {pivot}"
                         )
-                    self.records[pivot] = (coeff, residual, combo)
+                    ((exp, unit),) = coeff.items()
+                    combo = _add_scaled({key: {0: 1}}, used, {0: -1})
+                    self.records[pivot] = (exp, unit, residual, combo)
 
-    def _reduce(self, element: HeckeElement) -> tuple[dict, dict]:
+    def _lead(self, terms: dict) -> Perm:
+        return max(terms, key=self.rank.__getitem__)
+
+    def _reduce(self, terms: dict) -> tuple[dict, dict]:
         """Eliminate leading terms against existing records, in place on one table.
 
-        Returns the terms of the reduced element together with the record
+        Returns the raw terms of the reduced element together with the record
         combination that was subtracted, expanded in the original cellular
         elements.
         """
-        residual = dict(element.terms)
-        used: dict[tuple, LaurentPoly] = {}
+        residual = _add_scaled({}, terms, _ONE)
+        used: dict = {}
         while residual:
-            lead = max(residual, key=_term_order)
+            lead = self._lead(residual)
             record = self.records.get(lead)
             if record is None:
                 break
-            pivot_coeff, pivot_terms, combo = record
-            exp, unit = next(iter(pivot_coeff.items()))
-            factor = residual[lead] * LaurentPoly({-exp: unit})
-            add_into(residual, pivot_terms, -factor)
-            add_into(used, combo, factor)
+            exp, unit, pivot_terms, combo = record
+            factor = add_product({}, residual[lead], {-exp: unit})
+            _add_scaled(used, combo, factor)
+            _add_scaled(residual, pivot_terms, add_product({}, factor, {0: -1}))
         return residual, used
+
+    def _coords(self, terms: dict) -> dict:
+        """Raw cellular coordinates of a raw table."""
+        residual, coords = self._reduce(terms)
+        if residual:
+            raise ConventionError(f"no cellular pivot at {self._lead(residual)}")
+        return coords
 
     def express(self, element: HeckeElement) -> dict[tuple, LaurentPoly]:
         """Coordinates of an element in the cellular basis."""
-        residual, coords = self._reduce(element)
-        if residual:
-            lead = max(residual, key=_term_order)
-            raise ConventionError(f"no cellular pivot at {lead}")
-        return coords
+        return {key: LaurentPoly(c) for key, c in self._coords(element.terms).items()}
 
 
 @lru_cache(maxsize=None)
@@ -297,9 +373,15 @@ class GramMatrix:
     shape: Partition
     tableaux: tuple[Tableau, ...]
     rows: list[list[LaurentPoly]]
+    _determinant: LaurentPoly | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def determinant(self) -> LaurentPoly:
-        return bareiss_determinant(self.rows)
+        """The exact determinant, computed on the first call and kept."""
+        if self._determinant is None:
+            self._determinant = bareiss_determinant(self.rows)
+        return self._determinant
 
 
 def gram_matrix(lam: Partition, size_cap: int = DEFAULT_SIZE_CAP) -> GramMatrix:
@@ -308,9 +390,9 @@ def gram_matrix(lam: Partition, size_cap: int = DEFAULT_SIZE_CAP) -> GramMatrix:
     Computed on the conjugate shape (see the module docstring), so the
     determinant valuations line up with the hook-length sum formula for lam
     itself.  Capped by default at |lam| <= 5: the rank-6 algebra has
-    dimension 720; its Murphy table takes about 16 s of CPU and its eleven
-    Gram matrices about 10 s, against about 0.5 s for all ranks up to 5
-    together (one core of a 2-core x86-64 host, CPython 3.11).
+    dimension 720; its Murphy table takes about 3 s of CPU and its eleven
+    Gram matrices about 3.5 s, against about 0.15 s for all ranks up to 5
+    together (one core of a 2-core shared x86-64 host, CPython 3.11.7).
 
     The matrix does not depend on n, so it is built once per lam and the
     same object is returned to every caller; callers must not modify it.
@@ -338,13 +420,13 @@ def _gram_matrix(lam: Partition) -> GramMatrix:
     lam_tableaux = standard_tableaux(lam)
     paired = [conjugate_tableau(t) for t in lam_tableaux]
 
-    def pairing(s: Tableau, t: Tableau) -> LaurentPoly:
-        # m_{top,s} m_{t,top} = x T_{d(s)} T_{d(t)}* x, and x* = x.
-        middle = HeckeElement.t(m, tableau_perm(s)) * HeckeElement.t(
-            m, perm_inverse(tableau_perm(t))
-        )
-        product = middle.times_row_sum(mu).star().times_row_sum(mu).star()
-        coords = table.express(product)
+    # x T_{d(s)} = (T_{d(s)*} x)* for each tableau s of shape mu, since x* = x.
+    left = {s: _star(_left_factor(s)) for s in paired}
+
+    def pairing(s: Tableau, t: Tableau) -> dict:
+        # m_{top,s} m_{t,top} = x T_{d(s)} T_{d(t)}* x.
+        product = _times_row_sum(_times_t(left[s], perm_inverse(tableau_perm(t))), mu)
+        coords = table._coords(product)
         for key in coords:
             shape = key[0]
             if key == top_key:
@@ -357,21 +439,18 @@ def _gram_matrix(lam: Partition) -> GramMatrix:
                 raise ConventionError(
                     f"product for {lam} leaks into non-dominating shape {shape}"
                 )
-        return coords.get(top_key, LaurentPoly.zero())
+        return coords.get(top_key, {})
 
     size = len(paired)
     rows = [[LaurentPoly.zero()] * size for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
             value = pairing(paired[i], paired[j])
-            rows[i][j] = value
-            if i != j:
-                check = pairing(paired[j], paired[i])
-                if check != value:
-                    raise ConventionError(
-                        f"Gram matrix for {lam} is not symmetric at ({i},{j})"
-                    )
-                rows[j][i] = value
+            if i != j and pairing(paired[j], paired[i]) != value:
+                raise ConventionError(
+                    f"Gram matrix for {lam} is not symmetric at ({i},{j})"
+                )
+            rows[i][j] = rows[j][i] = LaurentPoly(value)
     return GramMatrix(shape=lam, tableaux=lam_tableaux, rows=rows)
 
 

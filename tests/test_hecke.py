@@ -1,6 +1,8 @@
 """Hecke algebra, cellular basis, Gram matrices, residue-field ranks."""
 
 import random
+import re
+from functools import lru_cache
 
 import pytest
 
@@ -100,6 +102,13 @@ class TestHeckeAlgebra:
         with pytest.raises(ValueError):
             HeckeElement.unit(2) * HeckeElement.unit(3)
 
+    def test_keys_must_be_permutations(self):
+        # A repeated entry, and a key of the wrong length.
+        for key in [(0, 0, 1), (0, 1)]:
+            message = f"key {key} is not a permutation of range(3)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                HeckeElement(3, {key: 1})
+
 
 def row_sum_reference(lam):
     """x_lam summed over the enumerated row stabilizer of the row-reading tableau."""
@@ -171,25 +180,26 @@ class TestMurphyBasis:
             murphy_element(s, t)
 
     def test_express_round_trip(self):
-        table = murphy_table(3)
         rng = random.Random(3)
-        perms = list(iter_permutations(range(3)))
-        for _ in range(5):
-            element = HeckeElement(
-                3,
-                {
-                    tuple(rng.choice(perms)): LaurentPoly(
-                        {rng.randint(-2, 2): rng.randint(-3, 3)}
-                    )
-                    for _ in range(3)
-                },
-            )
-            coords = table.express(element)
-            rebuilt = HeckeElement(3)
-            for (shape, si, ti), coeff in coords.items():
-                tabs = standard_tableaux(shape)
-                rebuilt = rebuilt + murphy_element(tabs[si], tabs[ti]).scale(coeff)
-            assert rebuilt == element
+        for m in (3, 4):
+            table = murphy_table(m)
+            perms = list(iter_permutations(range(m)))
+            for _ in range(5):
+                element = HeckeElement(
+                    m,
+                    {
+                        tuple(rng.choice(perms)): LaurentPoly(
+                            {rng.randint(-2, 2): rng.randint(-3, 3)}
+                        )
+                        for _ in range(3)
+                    },
+                )
+                coords = table.express(element)
+                rebuilt = HeckeElement(m)
+                for (shape, si, ti), coeff in coords.items():
+                    tabs = standard_tableaux(shape)
+                    rebuilt = rebuilt + murphy_element(tabs[si], tabs[ti]).scale(coeff)
+                assert rebuilt == element
 
     def test_tableau_perm_distinguished(self):
         base = row_reading_tableau((3, 1))
@@ -247,6 +257,86 @@ class TestGramMatrices:
                 gram_rank_at_root(lam, n)
                 assert gram.rows == rows
             assert gram_matrix(lam) is gram
+
+    def test_determinant_computed_once(self, monkeypatch):
+        monkeypatch.setattr(
+            hecke, "_gram_matrix", lru_cache(maxsize=None)(hecke._gram_matrix.__wrapped__)
+        )
+        bareiss = hecke.bareiss_determinant
+        calls = []
+
+        def counting(matrix):
+            calls.append(len(matrix))
+            return bareiss(matrix)
+
+        monkeypatch.setattr(hecke, "bareiss_determinant", counting)
+        assert gram_det_valuation((2, 2, 1), 2) == schaper_det_rhs((2, 2, 1), 2)
+        assert gram_det_valuation((2, 2, 1), 3) == schaper_det_rhs((2, 2, 1), 3)
+        assert gram_matrix((2, 2, 1)).determinant() == bareiss(gram_matrix((2, 2, 1)).rows)
+        assert calls == [5]
+
+
+class TestOracleChecks:
+    """Each consistency check of the oracle, reached by corrupting one input."""
+
+    def test_dependent_cellular_element(self, monkeypatch):
+        # Both cellular elements of rank 2 become T_e.
+        monkeypatch.setattr(hecke, "_left_factor", lambda s: {(0, 1): {0: 1}})
+        with pytest.raises(ConventionError, match="is not independent"):
+            hecke.MurphyTable(2)
+
+    def test_non_unit_pivot(self, monkeypatch):
+        left_factor = hecke._left_factor
+
+        def doubled(s):
+            return hecke._add_scaled({}, left_factor(s), {0: 2})
+
+        monkeypatch.setattr(hecke, "_left_factor", doubled)
+        with pytest.raises(ConventionError, match="non-unit pivot coefficient 2 at"):
+            hecke.MurphyTable(2)
+
+    def test_no_cellular_pivot(self):
+        table = hecke.MurphyTable(3)
+        del table.records[(2, 1, 0)]
+        with pytest.raises(ConventionError, match=r"no cellular pivot at \(2, 1, 0\)"):
+            table.express(HeckeElement.t(3, (2, 1, 0)))
+
+    def corrupt_coords(self, monkeypatch, corrupt):
+        """Pass every cellular expansion of the Gram products through `corrupt`."""
+        coords = hecke.MurphyTable._coords
+        monkeypatch.setattr(
+            hecke.MurphyTable, "_coords", lambda table, terms: corrupt(coords(table, terms))
+        )
+
+    def test_stray_same_shape_component(self, monkeypatch):
+        stray = ((2, 1), 0, 1)
+        self.corrupt_coords(monkeypatch, lambda coords: {**coords, stray: {0: 1}})
+        message = f"stray same-shape component {stray}"
+        with pytest.raises(ConventionError, match=re.escape(message)):
+            hecke._gram_matrix.__wrapped__((2, 1))
+
+    def test_leak_into_non_dominating_shape(self, monkeypatch):
+        leak = ((1, 1, 1), 0, 0)
+        self.corrupt_coords(monkeypatch, lambda coords: {**coords, leak: {0: 1}})
+        with pytest.raises(ConventionError, match=r"non-dominating shape \(1, 1, 1\)"):
+            hecke._gram_matrix.__wrapped__((2, 1))
+
+    def test_asymmetric_gram_matrix(self, monkeypatch):
+        # (2, 1) has two tableaux: its pairings run (0, 0), (0, 1), then the
+        # (1, 0) check, whose top coefficient the corruption shifts by one.
+        top = standard_tableaux((2, 1)).index(row_reading_tableau((2, 1)))
+        top_key = ((2, 1), top, top)
+        calls = []
+
+        def skew(coords):
+            calls.append(None)
+            if len(calls) == 3:
+                hecke._add_scaled(coords, {top_key: {0: 1}}, {0: 1})
+            return coords
+
+        self.corrupt_coords(monkeypatch, skew)
+        with pytest.raises(ConventionError, match=r"not symmetric at \(0,1\)"):
+            hecke._gram_matrix.__wrapped__((2, 1))
 
 
 class TestBareiss:
