@@ -28,11 +28,9 @@ from fockdec.fock import (
 )
 from fockdec.hecke import (
     GramMatrix,
-    HeckeElement,
     gram_det_valuation,
     gram_matrix,
     gram_rank_at_root,
-    murphy_element,
 )
 from fockdec.laurent import (
     LaurentPoly,
@@ -72,7 +70,6 @@ __all__ = [
     "FockVector",
     "GramMatrix",
     "GrothendieckVector",
-    "HeckeElement",
     "LaurentPoly",
     "StepBudgetExceeded",
     "ZeroGramDeterminant",
@@ -98,7 +95,6 @@ __all__ = [
     "hook_length",
     "is_regular",
     "jantzen_prediction",
-    "murphy_element",
     "nu_quantum",
     "partition_from_betas",
     "partition_from_wedge",

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from fockdec.errors import ConventionError
 from fockdec.fock import BarMatrix, FockVector, bar_matrix
-from fockdec.laurent import LaurentPoly, add_into, add_product
+from fockdec.laurent import LaurentPoly, add_into, add_product, add_scaled
 from fockdec.matrices import PartitionMatrix
 from fockdec.partitions import (
     Partition,
@@ -164,9 +164,7 @@ def gj_identity_check(n: int, m: int) -> IdentityReport:
     for mu, d_column in dmat.columns.items():
         rhs: dict[Partition, dict] = {}
         for tau, d in d_column.items():
-            d_bar = d.bar()
-            for lam, a in amat.columns[tau].items():
-                add_product(rhs.setdefault(lam, {}), a, d_bar)
+            add_scaled(rhs, amat.columns[tau], d.bar())
         for lam in d_column.keys() | rhs.keys():
             lhs = dmat.entry(lam, mu)
             right = LaurentPoly(rhs.get(lam))

@@ -19,7 +19,7 @@ from fockdec.fock import BarMatrix, bar_matrix
 from fockdec.hecke import DEFAULT_SIZE_CAP, gram_matrix, gram_rank_at_root
 from fockdec.laurent import cyclotomic_valuation
 from fockdec.matrices import PartitionMatrix
-from fockdec.partitions import format_partition, parse_partition
+from fockdec.partitions import format_partition, parse_partition, partitions_of
 
 log = logging.getLogger(__name__)
 
@@ -40,9 +40,8 @@ class MatrixCache:
     """JSON file cache keyed by (kind, n, m) and the schema version.
 
     `load` serves only an entry of the current schema that parses and passes
-    `validate()`.  Any other entry is recomputed and rewritten by
-    `cached_matrix`; one that parses but fails `validate()` is first logged
-    at WARNING with its path.
+    `validate()`.  Any other entry is logged at WARNING with its path and
+    the reason, then recomputed and rewritten by `cached_matrix`.
     """
 
     def __init__(self, directory: Path):
@@ -57,20 +56,16 @@ class MatrixCache:
             return None
         try:
             data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if data.get("schema") != SCHEMA_VERSION:
-            return None
-        try:
-            matrix = cls.from_jsonable(data["matrix"])
-        except (KeyError, ValueError):
-            return None
-        if matrix.n != n or matrix.m != m:
-            return None
-        try:
+            if not isinstance(data, dict):
+                raise ValueError("the file does not hold a JSON object")
+            if data.get("schema") != SCHEMA_VERSION:
+                raise ValueError(f"schema {data.get('schema')!r} is not {SCHEMA_VERSION!r}")
+            matrix = cls.from_jsonable(data.get("matrix"))
+            if matrix.n != n or matrix.m != m or matrix.order != partitions_of(m):
+                raise ValueError(f"the entry does not label the partitions of {m} at n={n}")
             matrix.validate()
-        except AssertionError as exc:
-            log.warning("cache entry %s fails validation, recomputing it: %s", path, exc)
+        except (OSError, ValueError, AssertionError) as exc:
+            log.warning("cache entry %s is unusable, recomputing it: %s", path, exc)
             return None
         return matrix
 
@@ -149,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(verify.ALL_SUITES),
         help="comma-separated suite names (default: all)",
     )
-    p_verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p_verify.add_argument("--format", choices=REPORT_FORMATS, default="text")
     p_verify.add_argument(
         "--cache-dir",
@@ -231,7 +225,6 @@ def cmd_verify(parser, args) -> int:
         max_m=args.max_m,
         n_set=n_set,
         suites=suites,
-        inject_fault=args.inject_fault,
     )
     if args.format == "json":
         print(json.dumps([r.to_json() for r in results], indent=2))

@@ -147,11 +147,18 @@ def bar_partition(mu: Partition, n: int, k: int | None = None) -> FockVector:
     return straighten(head[::-1], n).scale(prefactor)
 
 
-def bar_vector(v: FockVector, n: int, k: int | None = None) -> FockVector:
-    """Semilinear extension of the bar involution: bar coefficients, bar terms."""
+def bar_vector(v: FockVector, n: int) -> FockVector:
+    """Semilinear extension of the bar involution: bar coefficients, bar terms.
+
+    The bar of each basis vector is read from its column of A(n, m), m the
+    degree of v, which `bar_matrix` builds if it is not cached; the zero
+    vector builds nothing.
+    """
     table: dict = {}
-    for lam, coeff in v.terms.items():
-        add_into(table, bar_partition(lam, n, k).terms, coeff.bar())
+    if v.terms:
+        columns = bar_matrix(n, v.space).columns
+        for lam, coeff in v.terms.items():
+            add_into(table, columns[lam], coeff.bar())
     return FockVector._make(v.space, table)
 
 

@@ -8,13 +8,12 @@ sum of T_w over a row stabilizer, and Gram matrices are extracted by exact
 elimination against that basis.
 
 The arithmetic runs on raw tables {perm: {exponent: int}} that never hold an
-empty coefficient, merged only with `laurent.add_product`, as in the
-straightening kernel: multiplication by T_i, by T_w along a reduced word of
-w, by a row sum, and the anti-automorphism *.  Coefficients become
-`LaurentPoly` only at the API boundary (`HeckeElement`, `murphy_element`,
-`MurphyTable.express`, `GramMatrix.rows`).  Elimination takes as its lead the
-term latest in (length, one-line word) order, read from a rank table built
-once per m.
+empty coefficient, merged with `laurent.add_product` and `laurent.add_scaled`,
+as in the straightening kernel: multiplication by T_i, by T_w along a reduced
+word of w, by a row sum, and the anti-automorphism *.  Coefficients become
+`LaurentPoly` only in the rows of a `GramMatrix`, the one result the layer
+hands out.  Elimination takes as its lead the term latest in (length,
+one-line word) order, read from a rank table built once per m.
 
 The row sum x is never enumerated: products with it are formed one row block
 at a time through the distinguished coset factorisation
@@ -37,9 +36,9 @@ from itertools import permutations
 
 from fockdec.errors import ConventionError, ZeroGramDeterminant
 from fockdec.laurent import (
-    Combination,
     LaurentPoly,
     add_product,
+    add_scaled,
     cyclotomic,
     cyclotomic_valuation,
 )
@@ -57,10 +56,6 @@ from fockdec.partitions import (
 DEFAULT_SIZE_CAP = 5
 
 Perm = tuple  # one-line notation, 0-based: w[i] is the image of i
-
-
-def identity_perm(m: int) -> Perm:
-    return tuple(range(m))
 
 
 @lru_cache(maxsize=None)
@@ -114,21 +109,6 @@ _Q = {1: 1}
 _Q_MINUS_1 = {1: 1, 0: -1}
 
 
-def _add_scaled(acc: dict, terms: dict, factor) -> dict:
-    """Add factor * terms into the raw table `acc` in place; return `acc`.
-
-    The coefficients of `terms` and `factor` may be raw tables or LaurentPoly;
-    a perm whose coefficient cancels leaves `acc`.
-    """
-    for w, c in terms.items():
-        coeff = acc.get(w)
-        if coeff is None:
-            acc[w] = add_product({}, c, factor)
-        elif not add_product(coeff, c, factor):
-            del acc[w]
-    return acc
-
-
 def _right_generator(terms: dict, i: int) -> dict:
     """terms * T_{s_i}, by the quadratic relation."""
     out: dict = {}
@@ -160,11 +140,11 @@ def _times_row_sum(terms: dict, lam: Partition) -> dict:
     start = 0
     for part in lam:
         for top in range(start + 1, start + part):
-            total = _add_scaled({}, result, _ONE)
+            total = add_scaled({}, result, _ONE)
             step = result
             for i in range(top - 1, start - 1, -1):
                 step = _right_generator(step, i)
-                _add_scaled(total, step, _ONE)
+                add_scaled(total, step, _ONE)
             result = total
         start += part
     return result
@@ -173,64 +153,6 @@ def _times_row_sum(terms: dict, lam: Partition) -> dict:
 def _star(terms: dict) -> dict:
     """The anti-automorphism sending T_w to T at the inverse of w."""
     return {perm_inverse(w): c for w, c in terms.items()}
-
-
-class HeckeElement(Combination):
-    """Finite combination of natural basis elements T_w; its space is the rank m.
-
-    The arithmetic is that of the raw tables above, wrapped back into
-    `LaurentPoly` coefficients.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, m: int, terms=None):
-        self.space = m
-        self.terms = self._poly_terms(terms)
-        identity = list(range(m))
-        for w in self.terms:
-            if sorted(w) != identity:
-                raise ValueError(f"key {w} is not a permutation of range({m})")
-
-    @classmethod
-    def t(cls, m: int, w: Perm, coeff: LaurentPoly | int = 1) -> "HeckeElement":
-        return cls(m, {tuple(w): coeff})
-
-    @classmethod
-    def unit(cls, m: int) -> "HeckeElement":
-        return cls.t(m, identity_perm(m))
-
-    @classmethod
-    def _from_raw(cls, m: int, table: dict) -> "HeckeElement":
-        return cls._make(m, {w: LaurentPoly(c) for w, c in table.items()})
-
-    def right_generator(self, i: int) -> "HeckeElement":
-        """Multiply by T_{s_i} on the right."""
-        return self._from_raw(self.space, _right_generator(self.terms, i))
-
-    def __mul__(self, other: "HeckeElement") -> "HeckeElement":
-        self._check_space(other)
-        table: dict = {}
-        for v, coeff in other.terms.items():
-            _add_scaled(table, _times_t(self.terms, v), coeff)
-        return self._from_raw(self.space, table)
-
-    def times_row_sum(self, lam: Partition) -> "HeckeElement":
-        """Multiply on the right by the row sum x_lam of the row-reading tableau."""
-        return self._from_raw(self.space, _times_row_sum(self.terms, lam))
-
-    def star(self) -> "HeckeElement":
-        """The anti-automorphism sending T_w to T at the inverse of w."""
-        return self._make(self.space, _star(self.terms))
-
-    def __repr__(self):
-        if not self.terms:
-            return "HeckeElement(0)"
-        bits = " + ".join(
-            f"({coeff})T{list(w)}"
-            for w, coeff in sorted(self.terms.items(), key=lambda kv: _term_order(kv[0]))
-        )
-        return f"HeckeElement({bits})"
 
 
 # -- cellular basis ----------------------------------------------------------
@@ -269,16 +191,6 @@ def _left_factor(s: Tableau) -> dict:
     """T_{d(s)*} x_shape, the part of m_{st} that does not depend on t."""
     shape = tuple(len(row) for row in s)
     return _times_row_sum({perm_inverse(tableau_perm(s)): {0: 1}}, shape)
-
-
-def murphy_element(s: Tableau, t: Tableau) -> HeckeElement:
-    """The cellular basis element attached to a pair of standard tableaux."""
-    shape_s = tuple(len(row) for row in s)
-    shape_t = tuple(len(row) for row in t)
-    if shape_s != shape_t:
-        raise ValueError(f"shape mismatch: {shape_s} vs {shape_t}")
-    terms = _times_t(_left_factor(s), tableau_perm(t))
-    return HeckeElement._from_raw(sum(shape_s), terms)
 
 
 class MurphyTable:
@@ -320,7 +232,7 @@ class MurphyTable:
                             f"pivot coefficient {coeff} at {pivot}"
                         )
                     ((exp, unit),) = coeff.items()
-                    combo = _add_scaled({key: {0: 1}}, used, {0: -1})
+                    combo = add_scaled({key: {0: 1}}, used, {0: -1})
                     self.records[pivot] = (exp, unit, residual, combo)
 
     def _lead(self, terms: dict) -> Perm:
@@ -333,7 +245,7 @@ class MurphyTable:
         combination that was subtracted, expanded in the original cellular
         elements.
         """
-        residual = _add_scaled({}, terms, _ONE)
+        residual = add_scaled({}, terms, _ONE)
         used: dict = {}
         while residual:
             lead = self._lead(residual)
@@ -342,8 +254,8 @@ class MurphyTable:
                 break
             exp, unit, pivot_terms, combo = record
             factor = add_product({}, residual[lead], {-exp: unit})
-            _add_scaled(used, combo, factor)
-            _add_scaled(residual, pivot_terms, add_product({}, factor, {0: -1}))
+            add_scaled(used, combo, factor)
+            add_scaled(residual, pivot_terms, add_product({}, factor, {0: -1}))
         return residual, used
 
     def _coords(self, terms: dict) -> dict:
@@ -352,10 +264,6 @@ class MurphyTable:
         if residual:
             raise ConventionError(f"no cellular pivot at {self._lead(residual)}")
         return coords
-
-    def express(self, element: HeckeElement) -> dict[tuple, LaurentPoly]:
-        """Coordinates of an element in the cellular basis."""
-        return {key: LaurentPoly(c) for key, c in self._coords(element.terms).items()}
 
 
 @lru_cache(maxsize=None)
@@ -481,13 +389,9 @@ def bareiss_determinant(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     return det if sign > 0 else -det
 
 
-def gram_determinant(lam: Partition, size_cap: int = DEFAULT_SIZE_CAP) -> LaurentPoly:
-    return gram_matrix(lam, size_cap).determinant()
-
-
 def gram_det_valuation(lam: Partition, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> int:
     """Multiplicity of Phi_n in the exact Gram determinant."""
-    det = gram_determinant(lam, size_cap)
+    det = gram_matrix(lam, size_cap).determinant()
     if det.is_zero():
         raise ZeroGramDeterminant(f"Gram determinant of {lam} vanished identically")
     return cyclotomic_valuation(det, n)

@@ -41,7 +41,7 @@ StepBudgetExceeded, naming its length, instead of RecursionError.
 from __future__ import annotations
 
 from fockdec.errors import StepBudgetExceeded
-from fockdec.laurent import add_product
+from fockdec.laurent import add_product, add_scaled
 
 KERNEL_NAME = "pure"
 
@@ -105,22 +105,19 @@ def straighten_raw(head: tuple, n: int, budget: int = DEFAULT_STEP_BUDGET) -> di
         out: dict = {}
         for coeff, first, second in _pair(x, suffix[0], n):
             fold(out, first, insert(second, suffix[1:]), coeff)
-        memo[key] = result = {wedge: c for wedge, c in out.items() if c}
-        return result
+        memo[key] = out
+        return out
 
-    def fold(out: dict, x: int, vector: dict, scale: dict) -> None:
-        """Add scale * sum of c_T * insert(x, T) over vector into out."""
+    def fold(out: dict, x: int, vector: dict, scale: dict) -> dict:
+        """Add scale * sum of c_T * insert(x, T) over vector into out; return out."""
         for word, c in vector.items():
-            factor = add_product({}, scale, c)
-            for wedge, d in insert(x, word).items():
-                add_product(out.setdefault(wedge, {}), factor, d)
+            add_scaled(out, insert(x, word), add_product({}, scale, c))
+        return out
 
     vector: dict = {(): _ONE}
     try:
         for x in reversed(head):
-            out: dict = {}
-            fold(out, x, vector, _ONE)
-            vector = {wedge: c for wedge, c in out.items() if c}
+            vector = fold({}, x, vector, _ONE)
     except RecursionError:
         raise StepBudgetExceeded(
             f"straightening a head of length {len(head)} (n={n}) nests deeper "

@@ -4,9 +4,10 @@ Coefficients are arbitrary-precision Python integers; exponents may be
 negative.  The module also provides quantum integers [h], cyclotomic
 polynomials, and the multiplicity-of-Phi_n valuation used throughout.
 
-It is also the one home of sparse arithmetic: `add_into` and `add_product`
-merge sparse tables, and `Combination` is the base of the package's three
-kinds of vector (Fock-space vectors, Grothendieck vectors, Hecke elements).
+It is also the one home of sparse arithmetic: `add_into` merges
+{key: coefficient} tables, `add_product` raw {exponent: int} tables, and
+`add_scaled` {key: raw table} tables; `Combination` is the base of the
+package's two kinds of vector (Fock-space vectors, Grothendieck vectors).
 """
 
 from __future__ import annotations
@@ -244,12 +245,30 @@ def add_product(acc: dict, f: dict, g: dict) -> dict:
     return acc
 
 
+def add_scaled(acc: dict, terms: dict, factor) -> dict:
+    """Add factor * terms into the keyed table `acc` in place; return `acc`.
+
+    `acc` maps keys to raw {exponent: int} tables.  The coefficients of
+    `terms` and the nonzero `factor` are raw tables or LaurentPoly; each is
+    merged with `add_product`.  A key whose coefficient cancels leaves `acc`,
+    and a new key gets a fresh table, so `acc` never holds an empty table nor
+    one that `terms` or `factor` holds.
+    """
+    for key, c in terms.items():
+        coeff = acc.get(key)
+        if coeff is None:
+            acc[key] = add_product({}, c, factor)
+        elif not add_product(coeff, c, factor):
+            del acc[key]
+    return acc
+
+
 class Combination:
     """A finite combination of basis keys with nonzero coefficients.
 
     `terms` maps each key to its coefficient and `space` names where the
-    keys live: the degree of a FockVector, the rank m of a HeckeElement, the
-    basis tag of a GrothendieckVector.  Only combinations of one class over
+    keys live: the degree of a FockVector, the basis tag of a
+    GrothendieckVector.  Only combinations of one class over
     one space can be added, subtracted or equal.  Subclasses check outside
     input in `__init__`; the arithmetic here builds its results with `_make`,
     unchecked, the way `_wrap` builds a LaurentPoly.

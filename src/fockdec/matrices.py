@@ -16,6 +16,13 @@ from fockdec.partitions import Partition, dominated_by, format_partition
 _ZERO = LaurentPoly.zero()
 
 
+def _lists_of(value, kind) -> bool:
+    """True iff value is a list of lists whose items are all of type `kind`."""
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(isinstance(x, kind) for x in row) for row in value
+    )
+
+
 class PartitionMatrix:
     """n, m, a fixed partition order, and the nonzero entries of each column.
 
@@ -128,8 +135,15 @@ class PartitionMatrix:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "PartitionMatrix":
+        """The matrix that `to_jsonable` wrote; ValueError on any other input."""
+        if not isinstance(data, dict) or not {"n", "m", "order", "entries"} <= data.keys():
+            raise ValueError("a matrix is an object with keys n, m, order and entries")
+        n, m, grid = data["n"], data["m"], data["entries"]
+        if not (isinstance(n, int) and isinstance(m, int)):
+            raise ValueError("matrix n and m must be integers")
+        if not (_lists_of(data["order"], int) and _lists_of(grid, str)):
+            raise ValueError("matrix order must hold lists of parts, entries lists of strings")
         order = [tuple(lam) for lam in data["order"]]
-        grid = data["entries"]
         if len(grid) != len(order) or any(len(row) != len(order) for row in grid):
             raise ValueError("matrix shape does not match the partition order")
         columns = {mu: {} for mu in order}
@@ -138,7 +152,7 @@ class PartitionMatrix:
                 entry = parse_poly(text)
                 if entry:
                     columns[mu][lam] = entry
-        return cls(n=int(data["n"]), m=int(data["m"]), order=order, columns=columns)
+        return cls(n=n, m=m, order=order, columns=columns)
 
     @classmethod
     def from_json(cls, text: str) -> "PartitionMatrix":

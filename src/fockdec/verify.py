@@ -66,7 +66,6 @@ def run_verification(
     max_m: int,
     n_set: tuple[int, ...],
     suites: tuple[str, ...] = ALL_SUITES,
-    inject_fault: bool = False,
 ) -> list[CheckResult]:
     for suite in suites:
         if suite not in ALL_SUITES:
@@ -89,7 +88,7 @@ def run_verification(
             if run["derivative"]:
                 results.append(_identity(n, m, "derivative"))
             if run["theorem1"]:
-                results.extend(_theorem1(n, m, inject_fault))
+                results.extend(_theorem1(n, m))
             if run["det-bridge"]:
                 results.extend(_det_bridge(n, m))
             if run["oracle"] and _oracle_in_range(n, m):
@@ -202,22 +201,15 @@ def _identity(n, m, which):
     )
 
 
-def _theorem1(n, m, inject_fault):
-    faulted = False
+def _theorem1(n, m):
     for lam in partitions_of(m):
         report = schaper.theorem1_check(lam, n)
-        passed = report.passed
-        sum_side = report.sum_formula
-        if inject_fault and not faulted and not sum_side.is_zero():
-            sum_side = sum_side.scale(-1)
-            passed = sum_side == report.derivative_side
-            faulted = True
         yield CheckResult(
             check="theorem1",
             n=n,
             lam=lam,
-            passed=passed,
-            lhs=repr(sum_side),
+            passed=report.passed,
+            lhs=repr(report.sum_formula),
             rhs=repr(report.derivative_side),
         )
 

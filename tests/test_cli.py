@@ -1,4 +1,4 @@
-"""CLI behaviour: formats, exit codes, cache round-trips, fault injection."""
+"""CLI behaviour: formats, exit codes, cache round-trips, a failing check."""
 
 import hashlib
 import json
@@ -14,7 +14,7 @@ import fockdec
 from fockdec.cli import MatrixCache, cached_matrix, main
 from fockdec.canonical import DecompositionMatrix, decomposition_matrix
 from fockdec.fock import BarMatrix, bar_matrix
-from fockdec import canonical, hecke
+from fockdec import canonical, hecke, schaper
 
 BENCHMARK_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
@@ -132,13 +132,23 @@ class TestVerify:
         )
         assert code == 0
 
-    def test_injected_fault_fails(self, capsys):
+    def test_injected_fault_fails(self, capsys, monkeypatch):
+        # The sum formula of (1, 1) at n = 2 comes back negated, so exactly
+        # that Theorem-1 case fails.
+        sum_rhs = schaper.schaper_sum_rhs
+
+        def faulty(lam, n):
+            value = sum_rhs(lam, n)
+            return value.scale(-1) if lam == (1, 1) else value
+
+        monkeypatch.setattr(schaper, "schaper_sum_rhs", faulty)
         code, out = run(
-            ["verify", "--max-m", "3", "--n-set", "2", "--suite", "theorem1", "--inject-fault"],
+            ["verify", "--max-m", "3", "--n-set", "2", "--suite", "theorem1"],
             capsys,
         )
         assert code == 1
-        assert "FAIL theorem1" in out
+        assert "FAIL theorem1 lambda=(1,1) n=2" in out
+        assert out.endswith("7 checks, 1 failures\n")
 
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -242,17 +252,31 @@ class TestCache:
         code, computed = run(argv, capsys)
         assert code == 0
         path = tmp_path / "decomp-n2-m3.json"
-        payload = json.loads(path.read_text())
-        order = payload["matrix"]["order"]
-        payload["matrix"]["entries"][order.index([2, 1])][order.index([3])] = "q^-5"
-        path.write_text(json.dumps(payload))
-        with caplog.at_level("WARNING", logger="fockdec.cli"):
-            code, out = run(argv, capsys)
-        assert code == 0
-        assert out == computed
-        assert [record.levelname for record in caplog.records] == ["WARNING"]
-        assert str(path) in caplog.records[0].getMessage()
-        assert "q^-5" not in path.read_text()
+        good = path.read_text()
+        # An entry that fails validate(), then valid JSON of the wrong shape:
+        # not an object, a non-list order, an integer grid, and a label that
+        # is not a partition, which validate() alone lets through.
+        failing = json.loads(good)
+        order = failing["matrix"]["order"]
+        failing["matrix"]["entries"][order.index([2, 1])][order.index([3])] = "q^-5"
+        relabelled = json.loads(good)
+        relabelled["matrix"]["order"][order.index([2, 1])] = [1, 2]
+        wrong_shapes = [
+            [],
+            {"schema": "fockdec-1", "matrix": {"n": 2, "m": 3, "order": 5, "entries": []}},
+            {**failing, "matrix": {**failing["matrix"], "entries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+            relabelled,
+        ]
+        for payload in [failing, *wrong_shapes]:
+            path.write_text(json.dumps(payload))
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="fockdec.cli"):
+                code, out = run(argv, capsys)
+            assert code == 0
+            assert out == computed
+            assert [record.levelname for record in caplog.records] == ["WARNING"]
+            assert str(path) in caplog.records[0].getMessage()
+            assert path.read_text() == good
 
     def test_store_leaves_only_final_file(self, tmp_path):
         directory = tmp_path / "cache"

@@ -125,6 +125,16 @@ class TestWork:
         assert fock._bar_matrix.cache_info().misses == misses + 1
         assert 0 < kernel.cache_size() <= 2_500
 
+    def test_memo_holds_no_empty_table(self):
+        # The fold merges with add_scaled, which drops a wedge whose
+        # coefficient cancels instead of leaving an empty table behind.
+        cold_start()
+        bar_matrix(2, 10)
+        assert kernel.cache_size() == 2_097
+        for memo in kernel._CACHE.values():
+            for vector in memo.values():
+                assert all(vector.values())
+
     def test_each_insertion_computed_once(self, monkeypatch):
         calls = []
         pair = kernel._pair

@@ -6,11 +6,11 @@ from hypothesis import given, strategies as st
 from fockdec.schaper import SIMPLE, SPECHT, GrothendieckVector
 
 from fockdec.fock import FockVector
-from fockdec.hecke import HeckeElement
 from fockdec.laurent import (
     LaurentPoly,
     add_into,
     add_product,
+    add_scaled,
     cyclotomic,
     cyclotomic_valuation,
     nu_quantum,
@@ -200,12 +200,32 @@ class TestSparsePrimitives:
         assert LaurentPoly(table) == f + g * h
         assert all(table.values())
 
+    def test_add_scaled_cancels_and_scales(self):
+        acc = {"a": {0: 1}, "b": {1: 2}}
+        assert add_scaled(acc, {"a": {0: 1, 1: 1}, "b": {1: 1}}, {0: -1}) is acc
+        # a: 1 - (1 + q) = -q; b: 2q - q = q
+        assert acc == {"a": {1: -1}, "b": {1: 1}}
+        add_scaled(acc, {"a": {0: -1}, "b": {-1: 1}}, {1: -1})
+        assert acc == {"b": {1: 1, 0: -1}}
+        add_scaled(acc, {"b": {0: -1, -1: 1}}, q)
+        assert acc == {}
+
+    def test_add_scaled_new_key_gets_fresh_table(self):
+        terms = {"a": {0: 1}}
+        factor = {0: 1}
+        acc = add_scaled({}, terms, factor)
+        assert acc == terms
+        assert acc["a"] is not terms["a"] and acc["a"] is not factor
+        add_scaled(acc, {"a": {0: 1}}, factor)
+        assert terms == {"a": {0: 1}} and factor == {0: 1}
+        assert acc == {"a": {0: 2}}
+
 
 class TestCombination:
     def test_mixed_spaces_rejected(self):
         pairs = [
             (FockVector({(2,): one}), FockVector({(1, 1, 1): one})),
-            (HeckeElement.unit(2), HeckeElement.unit(3)),
+            (FockVector({(1,): q}), FockVector({(2, 1): q, (1, 1, 1): one})),
             (GrothendieckVector(SPECHT, {(2,): 1}), GrothendieckVector(SIMPLE, {(2,): 1})),
         ]
         for a, b in pairs:
@@ -217,12 +237,13 @@ class TestCombination:
 
     def test_other_class_rejected(self):
         with pytest.raises(TypeError):
-            FockVector({(1,): one}) + HeckeElement.unit(1)
+            FockVector({(1,): one}) + GrothendieckVector(SPECHT, {(1,): 1})
 
     def test_self_difference_is_zero(self):
         for a in [
             FockVector({(2,): q, (1, 1): qi - 2}),
-            HeckeElement(3, {(1, 0, 2): q, (0, 1, 2): one}),
+            FockVector({(3,): one, (2, 1): q, (1, 1, 1): -qi}),
+            GrothendieckVector(SIMPLE, {(3,): 2}),
             GrothendieckVector(SPECHT, {(2,): 3, (1, 1): -1}),
         ]:
             zero = a - a
