@@ -20,6 +20,13 @@ at a time through the distinguished coset factorisation
 x_{S_k} = x_{S_{k-1}} (1 + T_{k-1} + T_{k-1} T_{k-2} + ... + T_{k-1}...T_1),
 which costs about sum(k^2) generator steps instead of |S_lam| * length.
 
+A Gram entry m_{top,s} m_{t,top} = x T_{d(s)} T_{d(t)}* x is expanded as
+sum_v r_v x T_v x from the product of two T's alone.  Since x T_a = q^{l(a)} x
+for a in the row stabilizer, x T_v x = q^{l(v) - l(d)} x T_d x with d the
+minimal element of the double coset S_mu v S_mu (Dipper-James), so one
+reduction of x T_d x against the Murphy table per double coset gives every
+entry of the matrix.
+
 Under this quadratic convention the unsigned row-sum cell module of a shape
 is the module labelled by the conjugate shape in the hook-length sum formula
 (the one-row cell module is the index representation), so Gram matrices are
@@ -249,6 +256,9 @@ class MurphyTable:
         used: dict = {}
         while residual:
             lead = self._lead(residual)
+            if not residual[lead]:
+                # Eliminating an empty coefficient would change nothing.
+                raise ConventionError(f"empty coefficient at lead {lead}")
             record = self.records.get(lead)
             if record is None:
                 break
@@ -298,9 +308,10 @@ def gram_matrix(lam: Partition, size_cap: int = DEFAULT_SIZE_CAP) -> GramMatrix:
     Computed on the conjugate shape (see the module docstring), so the
     determinant valuations line up with the hook-length sum formula for lam
     itself.  Capped by default at |lam| <= 5: the rank-6 algebra has
-    dimension 720; its Murphy table takes about 3 s of CPU and its eleven
-    Gram matrices about 3.5 s, against about 0.15 s for all ranks up to 5
-    together (one core of a 2-core shared x86-64 host, CPython 3.11.7).
+    dimension 720; its Murphy table takes about 2-2.5 s of CPU and its
+    eleven Gram matrices about 0.2 s, against about 0.08 s for the tables
+    and Gram matrices of all ranks up to 5 together (one core of a 2-core
+    shared x86-64 host, CPython 3.11.7).
 
     The matrix does not depend on n, so it is built once per lam and the
     same object is returned to every caller; callers must not modify it.
@@ -316,6 +327,29 @@ def gram_matrix(lam: Partition, size_cap: int = DEFAULT_SIZE_CAP) -> GramMatrix:
     return _gram_matrix(lam)
 
 
+def _double_coset_min(v: Perm, mu: Partition) -> Perm:
+    """The minimal-length element of the double coset S_mu v S_mu.
+
+    S_mu permutes positions (on the right) and values (on the left) within
+    the consecutive row blocks of mu.  The result keeps how many positions
+    of each block carry values of each block, and hands each block of
+    positions, in order, the least unused values of block 0, then block 1,
+    ...; it thus increases on every position block and its inverse on every
+    value block.
+    """
+    block = [j for j, part in enumerate(mu) for _ in range(part)]
+    counts = [[0] * len(mu) for _ in mu]
+    for position, value in enumerate(v):
+        counts[block[position]][block[value]] += 1
+    next_value = [sum(mu[:k]) for k in range(len(mu))]
+    out: list = []
+    for row in counts:
+        for k, count in enumerate(row):
+            out.extend(range(next_value[k], next_value[k] + count))
+            next_value[k] += count
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def _gram_matrix(lam: Partition) -> GramMatrix:
     m = sum(lam)
@@ -326,14 +360,13 @@ def _gram_matrix(lam: Partition) -> GramMatrix:
     top = row_reading_tableau(mu)
     top_key = (mu, mu_index[top], mu_index[top])
     lam_tableaux = standard_tableaux(lam)
-    paired = [conjugate_tableau(t) for t in lam_tableaux]
+    perms = [tableau_perm(conjugate_tableau(t)) for t in lam_tableaux]
+    # d -> top coefficient of x T_d x, one reduction per double coset.
+    reduced: dict = {}
 
-    # x T_{d(s)} = (T_{d(s)*} x)* for each tableau s of shape mu, since x* = x.
-    left = {s: _star(_left_factor(s)) for s in paired}
-
-    def pairing(s: Tableau, t: Tableau) -> dict:
-        # m_{top,s} m_{t,top} = x T_{d(s)} T_{d(t)}* x.
-        product = _times_row_sum(_times_t(left[s], perm_inverse(tableau_perm(t))), mu)
+    def top_coefficient(d: Perm) -> dict:
+        # x T_d x = (T_{d*} x)* x, since x* = x.
+        product = _times_row_sum(_star(_times_row_sum({perm_inverse(d): {0: 1}}, mu)), mu)
         coords = table._coords(product)
         for key in coords:
             shape = key[0]
@@ -349,12 +382,24 @@ def _gram_matrix(lam: Partition) -> GramMatrix:
                 )
         return coords.get(top_key, {})
 
-    size = len(paired)
+    def entry(s: Perm, t: Perm) -> dict:
+        # m_{top,s} m_{t,top} = x T_{d(s)} T_{d(t)}* x = sum_v r_v x T_v x,
+        # and x T_v x = q^{l(v) - l(d)} x T_d x for d minimal in S_mu v S_mu.
+        value: dict = {}
+        for v, r in _times_t({s: {0: 1}}, perm_inverse(t)).items():
+            d = _double_coset_min(v, mu)
+            if d not in reduced:
+                reduced[d] = top_coefficient(d)
+            shifted = add_product({}, r, {perm_length(v) - perm_length(d): 1})
+            add_product(value, shifted, reduced[d])
+        return value
+
+    size = len(perms)
     rows = [[LaurentPoly.zero()] * size for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
-            value = pairing(paired[i], paired[j])
-            if i != j and pairing(paired[j], paired[i]) != value:
+            value = entry(perms[i], perms[j])
+            if i != j and entry(perms[j], perms[i]) != value:
                 raise ConventionError(
                     f"Gram matrix for {lam} is not symmetric at ({i},{j})"
                 )

@@ -9,6 +9,7 @@ import pytest
 from fockdec import hecke
 from fockdec.errors import ConventionError
 from fockdec.hecke import (
+    _double_coset_min,
     _left_factor,
     _right_generator,
     _star,
@@ -26,8 +27,14 @@ from fockdec.hecke import (
     row_reading_tableau,
     tableau_perm,
 )
-from fockdec.laurent import LaurentPoly, add_scaled, parse_poly
-from fockdec.partitions import dim_specht, partitions_of, standard_tableaux
+from fockdec.laurent import LaurentPoly, add_product, add_scaled, parse_poly
+from fockdec.partitions import (
+    conjugate,
+    conjugate_tableau,
+    dim_specht,
+    partitions_of,
+    standard_tableaux,
+)
 from fockdec.schaper import schaper_det_rhs
 from fockdec.canonical import decomposition_matrix
 
@@ -174,6 +181,53 @@ class TestRowSum:
                     assert _times_row_sum(sample, lam) == mul(sample, x)
 
 
+def row_stabilizer(mu):
+    """Every permutation that maps each consecutive row block of mu to itself."""
+    perms = [()]
+    start = 0
+    for part in mu:
+        block = range(start, start + part)
+        perms = [w + images for w in perms for images in iter_permutations(block)]
+        start += part
+    return perms
+
+
+def compose(a, b):
+    """a after b, in one-line notation."""
+    return tuple(a[i] for i in b)
+
+
+def coset_minimum(v, mu):
+    """The elements of least length in S_mu v S_mu, by enumeration."""
+    stabilizer = row_stabilizer(mu)
+    coset = {compose(a, compose(v, b)) for a in stabilizer for b in stabilizer}
+    least = min(map(perm_length, coset))
+    return sorted(w for w in coset if perm_length(w) == least)
+
+
+def sandwich(v, mu):
+    """x T_v x for the row sum x of mu."""
+    return _times_row_sum(_star(_times_row_sum(T(perm_inverse(v)), mu)), mu)
+
+
+class TestDoubleCosets:
+    """x T_v x = q^(l(v) - l(d)) x T_d x, d minimal in S_mu v S_mu."""
+
+    def test_representative_is_unique_minimum(self):
+        for m in range(5):
+            for mu in partitions_of(m):
+                for v in iter_permutations(range(m)):
+                    assert coset_minimum(v, mu) == [_double_coset_min(v, mu)], (mu, v)
+
+    def test_sandwich_depends_on_double_coset(self):
+        for m in range(5):
+            for mu in partitions_of(m):
+                for v in iter_permutations(range(m)):
+                    d = _double_coset_min(v, mu)
+                    shift = {perm_length(v) - perm_length(d): 1}
+                    assert sandwich(v, mu) == add_scaled({}, sandwich(d, mu), shift), (mu, v)
+
+
 class TestMurphyBasis:
     def test_one_row_is_full_sum(self):
         for m in (2, 3):
@@ -297,6 +351,62 @@ class TestGramMatrices:
         assert calls == [5]
 
 
+def paired_perms(lam):
+    """d(s) for each tableau s of the conjugate shape, in the order of the Gram rows."""
+    return [tableau_perm(conjugate_tableau(t)) for t in standard_tableaux(lam)]
+
+
+def reference_gram_rows(lam):
+    """Gram rows with one row-sum product and one elimination per ordered pair."""
+    mu = conjugate(lam)
+    table = murphy_table(sum(lam))
+    top = standard_tableaux(mu).index(row_reading_tableau(mu))
+    paired = [conjugate_tableau(t) for t in standard_tableaux(lam)]
+    rows = []
+    for s in paired:
+        # x T_{d(s)}, then m_{top,s} m_{t,top} = x T_{d(s)} T_{d(t)}* x.
+        left = _star(_left_factor(s))
+        row = []
+        for t in paired:
+            product = _times_row_sum(_times_t(left, perm_inverse(tableau_perm(t))), mu)
+            row.append(LaurentPoly(table._coords(product).get((mu, top, top), {})))
+        rows.append(row)
+    return rows
+
+
+class TestDoubleCosetPairing:
+    def test_matches_per_pair_reference(self):
+        for m in range(6):
+            for lam in partitions_of(m):
+                assert gram_matrix(lam).rows == reference_gram_rows(lam), lam
+
+    def test_one_reduction_per_double_coset(self, monkeypatch):
+        murphy_table(5)
+        coords = hecke.MurphyTable._coords
+        calls = []
+
+        def counting(table, terms):
+            calls.append(None)
+            return coords(table, terms)
+
+        monkeypatch.setattr(hecke.MurphyTable, "_coords", counting)
+        counts = []
+        for lam in [(2, 2, 1), (3, 1, 1)]:
+            mu = conjugate(lam)
+            perms = paired_perms(lam)
+            reached = {
+                coset_minimum(v, mu)[0]
+                for s in perms
+                for t in perms
+                for v in _times_t(T(s), perm_inverse(t))
+            }
+            calls.clear()
+            hecke._gram_matrix.__wrapped__(lam)
+            assert len(calls) == len(reached) < len(perms) ** 2
+            counts.append(len(calls))
+        assert counts == [3, 6]
+
+
 class TestOracleChecks:
     """Each consistency check of the oracle, reached by corrupting one input."""
 
@@ -343,21 +453,45 @@ class TestOracleChecks:
             hecke._gram_matrix.__wrapped__((2, 1))
 
     def test_asymmetric_gram_matrix(self, monkeypatch):
-        # (2, 1) has two tableaux: its pairings run (0, 0), (0, 1), then the
-        # (1, 0) check, whose top coefficient the corruption shifts by one.
-        top = standard_tableaux((2, 1)).index(row_reading_tableau((2, 1)))
-        top_key = ((2, 1), top, top)
-        calls = []
+        # (2, 1) pairs its two tableaux through one double coset; skewing the
+        # expansion of T_{d(s)} T_{d(t)}* for the pair (1, 0) alone breaks
+        # the symmetry without touching any reduction.
+        murphy_table(3)
+        s, t = paired_perms((2, 1))[::-1]
+        times_t = hecke._times_t
 
-        def skew(coords):
-            calls.append(None)
-            if len(calls) == 3:
-                add_scaled(coords, {top_key: {0: 1}}, {0: 1})
-            return coords
+        def skew(terms, v):
+            product = times_t(terms, v)
+            if terms == T(s) and v == perm_inverse(t):
+                add_scaled(product, T(s), {0: 1})
+            return product
 
-        self.corrupt_coords(monkeypatch, skew)
+        monkeypatch.setattr(hecke, "_times_t", skew)
         with pytest.raises(ConventionError, match=r"not symmetric at \(0,1\)"):
             hecke._gram_matrix.__wrapped__((2, 1))
+
+    def test_empty_lead_coefficient(self):
+        table = murphy_table(3)
+        lead = max(table.records, key=table.rank.__getitem__)
+        message = f"empty coefficient at lead {lead}"
+        with pytest.raises(ConventionError, match=re.escape(message)):
+            table._reduce({lead: {}})
+
+    def test_merge_keeping_cancelled_keys(self, monkeypatch):
+        # A merge that keeps cancelled keys leaves empty tables behind; the
+        # elimination must stop on them, not loop without progress.
+        calls = []
+
+        def keeping(acc, terms, factor):
+            calls.append(None)
+            assert len(calls) < 10_000, "elimination made no progress"
+            for key, c in terms.items():
+                add_product(acc.setdefault(key, {}), c, factor)
+            return acc
+
+        monkeypatch.setattr(hecke, "add_scaled", keeping)
+        with pytest.raises(ConventionError, match="empty coefficient at lead"):
+            hecke.MurphyTable(3)
 
 
 class TestBareiss:
