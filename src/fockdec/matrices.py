@@ -9,6 +9,7 @@ lays them out as a dense grid, and only to render them.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 from fockdec.laurent import LaurentPoly, parse_poly
 from fockdec.partitions import Partition, dominated_by, format_partition
@@ -23,12 +24,24 @@ def _lists_of(value, kind) -> bool:
     )
 
 
+def _index_rows(order, columns) -> dict:
+    """{row: {column: entry}} over the labels of `order`, columns in that order."""
+    index = {lam: {} for lam in order}
+    for col, column in columns.items():
+        for row, entry in column.items():
+            index[row][col] = entry
+    return index
+
+
 class PartitionMatrix:
     """n, m, a fixed partition order, and the nonzero entries of each column.
 
     `columns` maps every label of `order`, in that order, to its column
     {row label: nonzero LaurentPoly}.  It is the stored form and is
-    read-only: `column()` and `row()` return copies.  `rows` is a dense view
+    read-only: `column()` and `row()` return copies.  `row()` reads a
+    {row: {column: entry}} index built from `columns` on its first call and
+    kept with the matrix; it shares the entries of `columns`, and since the
+    matrix is never modified it cannot go stale.  `rows` is a dense view
     built on each access, for rendering.
     """
 
@@ -63,15 +76,15 @@ class PartitionMatrix:
         return dict(self.columns[tuple(col_lam)])
 
     def row(self, row_lam: Partition) -> dict[Partition, LaurentPoly]:
-        """The nonzero entries of one row, by column label in `order`."""
-        row_lam = tuple(row_lam)
-        if row_lam not in self.columns:
-            raise KeyError(row_lam)
-        return {
-            col: column[row_lam]
-            for col, column in self.columns.items()
-            if row_lam in column
-        }
+        """The nonzero entries of one row, by column label in `order`.
+
+        KeyError for a label not in `order`.
+        """
+        return dict(self._row_index[tuple(row_lam)])
+
+    @cached_property
+    def _row_index(self) -> dict[Partition, dict[Partition, LaurentPoly]]:
+        return _index_rows(self.order, self.columns)
 
     @property
     def rows(self) -> list[list[LaurentPoly]]:

@@ -17,7 +17,7 @@ def check_partition(parts) -> Partition:
     """Validate and return a partition as a tuple, raising ValueError otherwise."""
     parts = tuple(parts)
     for p in parts:
-        if not isinstance(p, int) or p <= 0:
+        if not isinstance(p, int) or isinstance(p, bool) or p <= 0:
             raise ValueError(f"partition parts must be positive integers, got {parts!r}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise ValueError(f"partition parts must be weakly decreasing, got {parts!r}")
@@ -128,12 +128,17 @@ def partition_from_betas(betas) -> tuple[int, Partition] | None:
 
 
 def dim_specht(lam: Partition) -> int:
-    """Number of standard tableaux of shape lam, by the hook length formula."""
+    """Number of standard tableaux of shape lam, by the hook length formula.
+
+    Each hook is lam_row - col + lam'_col - row + 1, with the conjugate
+    lam' computed once.
+    """
     m = sum(lam)
+    columns = conjugate(lam)
     product = 1
-    for row in range(1, len(lam) + 1):
-        for col in range(1, lam[row - 1] + 1):
-            product *= hook_length(lam, row, col)
+    for row, part in enumerate(lam, 1):
+        for col in range(1, part + 1):
+            product *= part - col + columns[col - 1] - row + 1
     dim, rem = divmod(factorial(m), product)
     assert rem == 0
     return dim

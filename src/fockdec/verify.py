@@ -67,6 +67,10 @@ def run_verification(
     n_set: tuple[int, ...],
     suites: tuple[str, ...] = ALL_SUITES,
 ) -> list[CheckResult]:
+    if not suites:
+        raise ValueError("suites is empty; name at least one suite")
+    if not n_set:
+        raise ValueError("n_set is empty; name at least one modulus")
     for suite in suites:
         if suite not in ALL_SUITES:
             raise ValueError(f"unknown suite {suite!r}; choose from {ALL_SUITES}")

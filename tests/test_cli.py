@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import fockdec
-from fockdec.cli import MatrixCache, cached_matrix, main
+from fockdec.cli import REPORT_FORMATS, MatrixCache, cached_matrix, main
 from fockdec.canonical import DecompositionMatrix, decomposition_matrix
 from fockdec.fock import BarMatrix, bar_matrix
-from fockdec import canonical, hecke, schaper
+from fockdec import canonical, hecke, schaper, verify
 
 BENCHMARK_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
@@ -99,9 +99,10 @@ class TestSchaper:
         assert "nu = 0" in out
 
     def test_malformed_lambda(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["schaper", "--lambda", "1,x", "--n", "2"])
-        assert err.value.code == 2
+        for text in ("1,x", "True,True"):
+            with pytest.raises(SystemExit) as err:
+                main(["schaper", "--lambda", text, "--n", "2"])
+            assert err.value.code == 2
 
 
 class TestVerify:
@@ -149,6 +150,24 @@ class TestVerify:
         assert code == 1
         assert "FAIL theorem1 lambda=(1,1) n=2" in out
         assert out.endswith("7 checks, 1 failures\n")
+
+    @pytest.mark.parametrize(
+        "option,value", [("--suite", ","), ("--suite", ""), ("--n-set", ","), ("--n-set", "")]
+    )
+    @pytest.mark.parametrize("fmt", REPORT_FORMATS)
+    def test_empty_option_is_a_usage_error(self, option, value, fmt, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--max-m", "2", option, value, "--format", fmt])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{option} {value!r} names no" in captured.err
+
+    def test_library_rejects_empty_suites_and_n_set(self):
+        with pytest.raises(ValueError, match="suites is empty"):
+            verify.run_verification(2, (2,), ())
+        with pytest.raises(ValueError, match="n_set is empty"):
+            verify.run_verification(2, ())
 
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as err:

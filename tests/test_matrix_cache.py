@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import pytest
 
-from fockdec import canonical, fock
+from fockdec import canonical, fock, matrices
 from fockdec.canonical import decomposition_matrix
 from fockdec.errors import ConventionError
 from fockdec.fock import BarMatrix, bar_matrix
@@ -44,6 +44,24 @@ def test_theorem1_sweep_builds_once_per_degree(monkeypatch):
             assert theorem1_check(lam, n).passed
     assert bars == [(2, 8), (3, 8)]
     assert decomps == [(2, 8), (3, 8)]
+
+
+def test_theorem1_sweep_indexes_each_matrix_once(monkeypatch):
+    counting_builder(monkeypatch, fock, "_bar_matrix")
+    counting_builder(monkeypatch, canonical, "_decomposition_matrix")
+    index_rows = matrices._index_rows
+    indexed = []
+
+    def counting(order, columns):
+        indexed.append(sum(order[0]))
+        return index_rows(order, columns)
+
+    monkeypatch.setattr(matrices, "_index_rows", counting)
+    for n in (2, 3):
+        for lam in partitions_of(8):
+            assert theorem1_check(lam, n).passed
+    # One index for A and one for D at each n, however many rows are read.
+    assert indexed == [8] * 4
 
 
 def test_explicit_amat_is_solved_from():

@@ -177,6 +177,15 @@ class TestDimensions:
     def test_sum_of_squares(self, m):
         assert sum(dim_specht(lam) ** 2 for lam in partitions_of(m)) == factorial(m)
 
+    def test_closed_form_hooks_match_hook_length(self):
+        for m in range(11):
+            for lam in partitions_of(m):
+                product = 1
+                for row in range(1, len(lam) + 1):
+                    for col in range(1, lam[row - 1] + 1):
+                        product *= hook_length(lam, row, col)
+                assert dim_specht(lam) == factorial(m) // product
+
 
 class TestStandardTableaux:
     def test_counts(self):
@@ -269,5 +278,6 @@ class TestSerialization:
             parse_partition("2,x")
         with pytest.raises(ValueError):
             parse_partition("1,2")
-        with pytest.raises(ValueError):
-            check_partition((0, 1))
+        for parts in [(0, 1), (True, True), (2, True), (True,)]:
+            with pytest.raises(ValueError, match="positive integers"):
+                check_partition(parts)

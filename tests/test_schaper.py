@@ -2,7 +2,9 @@
 
 import pytest
 
-from fockdec.partitions import dim_specht, partitions_of
+from fockdec import schaper
+from fockdec.laurent import nu_quantum
+from fockdec.partitions import dim_specht, first_column_betas, hook_length, partitions_of
 from fockdec.schaper import (
     SIMPLE,
     SPECHT,
@@ -16,6 +18,23 @@ from fockdec.schaper import (
     specht_to_simple,
     theorem1_check,
 )
+
+
+def reference_sum_formula_terms(lam, n, s):
+    """The double sum with every hook from `hook_length` and nu from `nu_quantum`."""
+    betas = first_column_betas(lam, s)
+    terms = []
+    for a in range(1, s + 1):
+        for b in range(a, len(lam) + 1):
+            for c in range(1, lam[b - 1] + 1):
+                h_bc = hook_length(lam, b, c)
+                weight = nu_quantum(hook_length(lam, a, c), n) - nu_quantum(h_bc, n)
+                if weight:
+                    modified = list(betas)
+                    modified[a - 1] += h_bc
+                    modified[b - 1] -= h_bc
+                    terms.append((weight, tuple(modified)))
+    return terms
 
 
 class TestGrothendieckVector:
@@ -50,6 +69,14 @@ class TestSumFormula:
         assert schaper_sum_rhs((1, 1), 2) == GrothendieckVector(SPECHT, {(2,): 1})
         assert schaper_sum_rhs((1, 1), 3).is_zero()
 
+    def test_closed_form_hooks_match_reference(self):
+        for n in (2, 3, 4, 5):
+            for m in range(10):
+                for lam in partitions_of(m):
+                    for s in (len(lam), len(lam) + 2):
+                        terms = list(schaper._sum_formula_terms(lam, n, s))
+                        assert terms == reference_sum_formula_terms(lam, n, s)
+
     def test_padding_stability(self):
         for n in (2, 3, 4):
             for m in range(7):
@@ -59,8 +86,11 @@ class TestSumFormula:
                     assert base == schaper_sum_rhs(lam, n, s=len(lam) + 2)
 
     def test_bad_modulus(self):
-        with pytest.raises(ValueError):
-            schaper_sum_rhs((2, 1), 1)
+        for n in (0, 1):
+            with pytest.raises(ValueError):
+                schaper_sum_rhs((2, 1), n)
+            with pytest.raises(ValueError):
+                schaper_det_rhs((2, 1), n)
 
 
 class TestDeterminantSide:
@@ -125,6 +155,23 @@ class TestTheorem1:
     def test_describe_mentions_verdict(self):
         report = theorem1_check((2, 1), 2)
         assert "PASS" in report.describe()
+
+    def test_bool_parts_rejected(self):
+        with pytest.raises(ValueError, match="positive integers"):
+            theorem1_check((True, True), 2)
+
+    def test_perturbed_derivative_side_is_converted(self, monkeypatch):
+        # One coordinate of half of A'(1) is off by one, so the two
+        # Specht-basis sides differ and each needs its own change of basis.
+        honest = schaper.gabber_joseph_rhs
+        bump = GrothendieckVector(SPECHT, {(4,): 1})
+        monkeypatch.setattr(schaper, "gabber_joseph_rhs", lambda lam, n: honest(lam, n) + bump)
+        report = theorem1_check((2, 2), 2)
+        assert not report.passed
+        assert report.derivative_side == report.sum_formula + bump
+        assert report.derivative_simple == specht_to_simple(report.derivative_side, 2)
+        assert report.derivative_simple != report.sum_formula_simple
+        assert report.sum_formula_simple == report.prediction
 
 
 class TestDimensionBridge:

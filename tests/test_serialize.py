@@ -123,6 +123,27 @@ def test_rows_are_the_dense_view_of_columns():
     assert matrix.entry((1,) * 5, (3, 2)) == before
 
 
+def column_scan_row(matrix, lam) -> list:
+    """The nonzeros of row lam as (column, entry) pairs, by a scan of every column."""
+    return [(col, column[lam]) for col, column in matrix.columns.items() if lam in column]
+
+
+@pytest.mark.parametrize("n,m", [(2, 8), (3, 9), (4, 7)])
+def test_row_index_matches_column_scan(n, m):
+    for matrix in (bar_matrix(n, m), decomposition_matrix(n, m)):
+        for lam in matrix.order:
+            assert list(matrix.row(lam).items()) == column_scan_row(matrix, lam)
+        lam = matrix.order[-1]
+        before = column_scan_row(matrix, lam)
+        row = matrix.row(lam)
+        del row[lam]
+        row[matrix.order[0]] = LaurentPoly.q_power(7)
+        assert list(matrix.row(lam).items()) == before == column_scan_row(matrix, lam)
+        for label in [(m + 1,), (1,) * (m - 1), (m, 0)]:
+            with pytest.raises(KeyError):
+                matrix.row(label)
+
+
 def test_from_jsonable_rejects_ragged_grid():
     data = bar_matrix(2, 3).to_jsonable()
     data["entries"][1] = data["entries"][1][:-1]
