@@ -6,10 +6,9 @@ the derivative of the decomposition matrix at q = 1; `theorem1_check`
 verifies the two agree, both in the Specht basis and, via the q = 1
 decomposition numbers, in the simple basis.
 
-Once A and D are built, a check costs what it reads: the rows of A and D
-come from each matrix's row index (`PartitionMatrix.row`), hook lengths come
-in closed form from the conjugate partition, and when the two Specht-basis
-sides agree the simple-basis image of one serves for both.
+Once A and D are built, the rows a check reads come from each matrix's row
+index (`PartitionMatrix.row`), so a row costs its nonzeros rather than a
+scan of every column.
 """
 
 from __future__ import annotations
@@ -19,15 +18,15 @@ from dataclasses import dataclass
 from fockdec.canonical import decomposition_matrix
 from fockdec.errors import ConventionError
 from fockdec.fock import bar_matrix
-from fockdec.laurent import Combination, add_into
+from fockdec.laurent import Combination, add_into, nu_quantum
 from fockdec.partitions import (
     Partition,
     check_partition,
-    conjugate,
     d_symbol,
     dim_specht,
     first_column_betas,
     format_partition,
+    hook_length,
     is_regular,
     partition_from_betas,
 )
@@ -80,11 +79,6 @@ def simple_vector(coords, n: int) -> GrothendieckVector:
 def _sum_formula_terms(lam: Partition, n: int, s: int | None = None):
     """Yield (weight, beta_sequence) terms of the hook-length double sum.
 
-    The weight is nu(h_ac) - nu(h_bc) for the hooks h of cells (a, c) and
-    (b, c), where nu(h) = 1 if n divides h, else 0 (`laurent.nu_quantum`).
-    Each hook comes in closed form from the conjugate, computed once:
-    h(a, c) = lam_a - c + lam'_c - a + 1.  The callers check n >= 2.
-
     s defaults to the number of rows; larger s pads the beta-sequence and
     must not change the resulting vector (checked by tests).
     """
@@ -95,15 +89,12 @@ def _sum_formula_terms(lam: Partition, n: int, s: int | None = None):
     if s < rows:
         raise ValueError(f"s={s} smaller than number of rows of {lam}")
     betas = first_column_betas(lam, s)
-    columns = conjugate(lam)
-    # Rows a > rows (padding when s > rows) hold no cells, so a <= b <= rows:
-    # (a, c) and (b, c) are cells, and each hook below is at least 1.
-    for a in range(1, rows + 1):
-        for b in range(a, rows + 1):
+    for a in range(1, s + 1):
+        for b in range(a, min(s, rows) + 1):
             for c in range(1, lam[b - 1] + 1):
-                h_ac = lam[a - 1] - c + columns[c - 1] - a + 1
-                h_bc = lam[b - 1] - c + columns[c - 1] - b + 1
-                weight = (h_ac % n == 0) - (h_bc % n == 0)
+                h_ac = hook_length(lam, a, c)
+                h_bc = hook_length(lam, b, c)
+                weight = nu_quantum(h_ac, n) - nu_quantum(h_bc, n)
                 if weight == 0:
                     continue
                 modified = list(betas)
@@ -225,11 +216,7 @@ def theorem1_check(lam: Partition, n: int) -> Theorem1Report:
     derivative_side = gabber_joseph_rhs(lam, n)
     prediction = jantzen_prediction(lam, n)
     sum_simple = specht_to_simple(sum_formula, n)
-    # The change of basis depends on the vector and n alone.
-    if derivative_side == sum_formula:
-        derivative_simple = sum_simple
-    else:
-        derivative_simple = specht_to_simple(derivative_side, n)
+    derivative_simple = specht_to_simple(derivative_side, n)
     passed = (
         sum_formula == derivative_side
         and sum_simple == prediction
