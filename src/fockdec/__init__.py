@@ -12,7 +12,6 @@ from fockdec.canonical import (
     decomposition_matrix,
     derivative_identity_check,
     gj_identity_check,
-    symmetric_lift,
 )
 from fockdec.errors import ConventionError, StepBudgetExceeded, ZeroGramDeterminant
 from fockdec.fock import (
@@ -21,7 +20,6 @@ from fockdec.fock import (
     bar_matrix,
     bar_partition,
     bar_vector,
-    betas_from_wedge,
     partition_from_wedge,
     straighten,
     wedge_from_partition,
@@ -37,7 +35,6 @@ from fockdec.laurent import (
     cyclotomic,
     cyclotomic_valuation,
     nu_quantum,
-    quantum_integer,
 )
 from fockdec.partitions import (
     conjugate,
@@ -76,7 +73,6 @@ __all__ = [
     "bar_matrix",
     "bar_partition",
     "bar_vector",
-    "betas_from_wedge",
     "canonical_vector",
     "conjugate",
     "cyclotomic",
@@ -99,13 +95,11 @@ __all__ = [
     "partition_from_betas",
     "partition_from_wedge",
     "partitions_of",
-    "quantum_integer",
     "schaper_det_rhs",
     "schaper_sum_rhs",
     "specht_to_simple",
     "standard_tableaux",
     "straighten",
-    "symmetric_lift",
     "theorem1_check",
     "wedge_from_partition",
 ]

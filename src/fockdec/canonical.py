@@ -1,8 +1,8 @@
 """Bar-invariant canonical basis and the q-decomposition matrix.
 
 Each basis vector G(lam) is the unique bar-invariant vector congruent to
-|lam> modulo the q-lattice.  It is found by a triangular solve along any
-linear extension of dominance (largest first): walking down from lam, the
+|lam> modulo the q-lattice.  It is found by a triangular solve along
+`partitions_of(m)`, which extends dominance: walking down from lam, the
 residual at each mu is bar-antisymmetric and admits a unique lift into
 q.Z[q].  `DecompositionMatrix.validate` then rejects any lattice
 violation.
@@ -23,15 +23,6 @@ from fockdec.partitions import (
     format_partition,
     partitions_of,
 )
-
-
-def symmetric_lift(c: LaurentPoly) -> LaurentPoly:
-    """The unique bar-invariant p congruent to c modulo q.Z[q].
-
-    Writing c = sum a_j q^j:  p = a_0 + sum_{j>0} a_{-j} (q^j + q^{-j}).
-    """
-    low = {e: a for e, a in c.items() if e <= 0}
-    return LaurentPoly({**low, **{-e: a for e, a in low.items() if e < 0}})
 
 
 def _antisymmetric_lift(r: dict) -> LaurentPoly:
@@ -56,18 +47,15 @@ class DecompositionMatrix(PartitionMatrix):
         )
 
 
-def _solve_column(
-    lam: Partition,
-    amat: BarMatrix,
-    order: tuple[Partition, ...],
-) -> dict[Partition, LaurentPoly]:
+def _solve_column(lam: Partition, amat: BarMatrix) -> dict[Partition, LaurentPoly]:
     """Triangular solve for the bar-invariant column congruent to |lam>.
 
-    Once x_tau is final, A[mu, tau] * bar(x_tau) goes into the residual of
-    each mu in column tau of A; every such mu is dominated by tau, so it
-    comes later in `order` and its residual is complete when the walk
-    reaches it.
+    The walk goes down `partitions_of(m)` from lam.  Once x_tau is final,
+    A[mu, tau] * bar(x_tau) goes into the residual of each mu in column tau
+    of A; every such mu is dominated by tau, so it comes later in that order
+    and its residual is complete when the walk reaches it.
     """
+    order = partitions_of(amat.m)
     column: dict[Partition, LaurentPoly] = {}
     residuals: dict[Partition, dict] = {}
     for mu in order[order.index(lam) :]:
@@ -102,20 +90,18 @@ def decomposition_matrix(n: int, m: int) -> DecompositionMatrix:
 # Bounded like `fock._bar_matrix`, whose matrices these are solved from.
 @lru_cache(maxsize=16)
 def _decomposition_matrix(n: int, m: int) -> DecompositionMatrix:
-    return _solve(bar_matrix(n, m), partitions_of(m))
+    return _solve(bar_matrix(n, m))
 
 
-def _solve(amat: BarMatrix, order: tuple[Partition, ...]) -> DecompositionMatrix:
-    """Solve every column of D from A, walking the partitions in `order`.
+def _solve(amat: BarMatrix) -> DecompositionMatrix:
+    """Solve every column of D from A, walking `partitions_of(m)`.
 
-    `order` may be any linear extension of dominance with larger partitions
-    first; the resulting matrix is independent of the choice.
+    That order extends dominance with larger partitions first, which is all
+    the triangular solve needs; `validate` then checks the result.
     """
-    canonical_order = partitions_of(amat.m)
-    columns = {lam: _solve_column(lam, amat, order) for lam in canonical_order}
-    matrix = DecompositionMatrix(
-        n=amat.n, m=amat.m, order=canonical_order, columns=columns
-    )
+    order = partitions_of(amat.m)
+    columns = {lam: _solve_column(lam, amat) for lam in order}
+    matrix = DecompositionMatrix(n=amat.n, m=amat.m, order=order, columns=columns)
     matrix.validate()
     return matrix
 

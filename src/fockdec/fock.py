@@ -48,20 +48,6 @@ def partition_from_wedge(head: tuple[int, ...]) -> Partition:
     return tuple(parts)
 
 
-def wedge_degree(head: tuple[int, ...]) -> int:
-    """Sum of i_j + j - 1 over the head (tail terms contribute zero)."""
-    return sum(value + j for j, value in enumerate(head))
-
-
-def betas_from_wedge(head: tuple[int, ...]) -> tuple[int, ...]:
-    """The (m+1)-entry beta-sequence (i_1 + m, ..., i_m + m, 0) of a degree-m word."""
-    m = wedge_degree(head)
-    if m < 0:
-        raise ValueError(f"head {head} has negative degree")
-    full = list(head) + [-j + 1 for j in range(len(head) + 1, m + 1)]
-    return tuple(full[j] + m for j in range(m)) + (0,)
-
-
 class FockVector(Combination):
     """Finite Laurent-combination of partition basis vectors of one degree.
 
@@ -92,14 +78,13 @@ class FockVector(Combination):
         return f"FockVector({bits})"
 
 
-def straighten(head, n: int, budget: int | None = None) -> FockVector:
+def straighten(head, n: int) -> FockVector:
     """Normal-order an arbitrary head into a combination of partition wedges.
 
     Requires n >= 2 and every entry exceeding -len(head), so that rewriting
-    never touches the implicit tail.  `budget` caps the insertions into a
-    sorted suffix that this call computes (default
-    `kernel.DEFAULT_STEP_BUDGET`; memoized insertions cost nothing); past it
-    StepBudgetExceeded is raised.
+    never touches the implicit tail.  The insertions into a sorted suffix
+    that this call computes are capped at `kernel.DEFAULT_STEP_BUDGET`
+    (memoized insertions cost nothing); past it StepBudgetExceeded is raised.
     """
     head = tuple(head)
     if n < 2:
@@ -107,9 +92,7 @@ def straighten(head, n: int, budget: int | None = None) -> FockVector:
     k = len(head)
     if any(e <= -k for e in head):
         raise ValueError(f"head {head} has entries reaching the implicit tail")
-    if budget is None:
-        budget = kernel.DEFAULT_STEP_BUDGET
-    raw = kernel.straighten_raw(head, n, budget)
+    raw = kernel.straighten_raw(head, n)
     return FockVector(
         {partition_from_wedge(h): LaurentPoly(c) for h, c in raw.items()}
     )

@@ -77,12 +77,12 @@ def _pair(a: int, b: int, n: int) -> list:
     return children
 
 
-def straighten_raw(head: tuple, n: int, budget: int = DEFAULT_STEP_BUDGET) -> dict:
+def straighten_raw(head: tuple, n: int) -> dict:
     """Expand a head into normalized wedges: {head: {exponent: coefficient}}.
 
     Insertions are memoized per (n, x, suffix); callers must treat the
-    returned mapping and its values as read-only.  `budget` caps the number
-    of insertions this call may compute (memoized ones cost nothing).
+    returned mapping and its values as read-only.  A call may compute at most
+    `DEFAULT_STEP_BUDGET` insertions (memoized ones cost nothing).
     """
     memo = _CACHE.setdefault(n, {})
     steps = 0
@@ -98,9 +98,9 @@ def straighten_raw(head: tuple, n: int, budget: int = DEFAULT_STEP_BUDGET) -> di
         if cached is not None:
             return cached
         steps += 1
-        if steps > budget:
+        if steps > DEFAULT_STEP_BUDGET:
             raise StepBudgetExceeded(
-                f"straightening of {head} (n={n}) exceeded {budget} insertions"
+                f"straightening of {head} (n={n}) exceeded {DEFAULT_STEP_BUDGET} insertions"
             )
         out: dict = {}
         for coeff, first, second in _pair(x, suffix[0], n):

@@ -1,8 +1,8 @@
 """Exact arithmetic in the ring of integer Laurent polynomials in q.
 
 Coefficients are arbitrary-precision Python integers; exponents may be
-negative.  The module also provides quantum integers [h], cyclotomic
-polynomials, and the multiplicity-of-Phi_n valuation used throughout.
+negative.  The module also provides cyclotomic polynomials and the
+multiplicity-of-Phi_n valuation used throughout.
 
 It is also the one home of sparse arithmetic: `add_into` merges
 {key: coefficient} tables, `add_product` raw {exponent: int} tables, and
@@ -20,7 +20,7 @@ class LaurentPoly:
     """Immutable Laurent polynomial with integer coefficients.
 
     Stored as a mapping exponent -> nonzero coefficient; the empty mapping is
-    the zero polynomial.
+    the zero polynomial.  Exponents and coefficients must be ints (not bools).
     """
 
     __slots__ = ("_c", "_hash")
@@ -29,8 +29,10 @@ class LaurentPoly:
         table = {}
         if coeffs:
             for e, c in coeffs.items():
+                if type(e) is not int or type(c) is not int:
+                    raise TypeError(f"non-integer term {e!r}: {c!r} in LaurentPoly")
                 if c:
-                    table[int(e)] = c
+                    table[e] = c
         self._c = table
         self._hash = None
 
@@ -41,10 +43,6 @@ class LaurentPoly:
     @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
-
-    @classmethod
-    def q_power(cls, exp: int) -> "LaurentPoly":
-        return cls({exp: 1})
 
     # -- basic structure ----------------------------------------------------
 
@@ -401,13 +399,6 @@ def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
         for j in range(dn + 1):
             num[i - dn + j] -= factor * den[j]
     return quo, num
-
-
-def quantum_integer(h: int) -> LaurentPoly:
-    """[h] = 1 + q + ... + q^{h-1}."""
-    if h <= 0:
-        raise ValueError("quantum integer defined for h >= 1")
-    return LaurentPoly({e: 1 for e in range(h)})
 
 
 @lru_cache(maxsize=None)

@@ -167,10 +167,6 @@ class PartitionMatrix:
                     columns[mu][lam] = entry
         return cls(n=n, m=m, order=order, columns=columns)
 
-    @classmethod
-    def from_json(cls, text: str) -> "PartitionMatrix":
-        return cls.from_jsonable(json.loads(text))
-
     def to_csv(self) -> str:
         header = [""] + [format_partition(lam) for lam in self.order]
         lines = [";".join(header)]

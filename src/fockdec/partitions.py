@@ -131,8 +131,9 @@ def dim_specht(lam: Partition) -> int:
     """Number of standard tableaux of shape lam, by the hook length formula.
 
     Each hook is lam_row - col + lam'_col - row + 1, with the conjugate
-    lam' computed once.
+    lam' computed once.  Raises ValueError unless lam is a partition.
     """
+    lam = check_partition(lam)
     m = sum(lam)
     columns = conjugate(lam)
     product = 1

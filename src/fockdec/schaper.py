@@ -76,21 +76,17 @@ def simple_vector(coords, n: int) -> GrothendieckVector:
     return vector
 
 
-def _sum_formula_terms(lam: Partition, n: int, s: int | None = None):
+def _sum_formula_terms(lam: Partition, n: int):
     """Yield (weight, beta_sequence) terms of the hook-length double sum.
 
-    s defaults to the number of rows; larger s pads the beta-sequence and
-    must not change the resulting vector (checked by tests).
+    The beta-sequences have one entry per row of lam, and the sum runs over
+    rows a <= b; padding lam with zero rows would add no term.
     """
     lam = check_partition(lam)
     rows = len(lam)
-    if s is None:
-        s = rows
-    if s < rows:
-        raise ValueError(f"s={s} smaller than number of rows of {lam}")
-    betas = first_column_betas(lam, s)
-    for a in range(1, s + 1):
-        for b in range(a, min(s, rows) + 1):
+    betas = first_column_betas(lam, rows)
+    for a in range(1, rows + 1):
+        for b in range(a, rows + 1):
             for c in range(1, lam[b - 1] + 1):
                 h_ac = hook_length(lam, a, c)
                 h_bc = hook_length(lam, b, c)
@@ -103,12 +99,12 @@ def _sum_formula_terms(lam: Partition, n: int, s: int | None = None):
                 yield weight, tuple(modified)
 
 
-def schaper_sum_rhs(lam: Partition, n: int, s: int | None = None) -> GrothendieckVector:
+def schaper_sum_rhs(lam: Partition, n: int) -> GrothendieckVector:
     """The sum-formula right-hand side as a virtual Specht-basis vector."""
     if n < 2:
         raise ValueError("modulus n must be >= 2")
     coords: dict[Partition, int] = {}
-    for weight, betas in _sum_formula_terms(lam, n, s):
+    for weight, betas in _sum_formula_terms(lam, n):
         recovered = partition_from_betas(betas)
         if recovered is not None:
             sign, tau = recovered
@@ -116,7 +112,7 @@ def schaper_sum_rhs(lam: Partition, n: int, s: int | None = None) -> Grothendiec
     return GrothendieckVector._make(SPECHT, coords)
 
 
-def schaper_det_rhs(lam: Partition, n: int, s: int | None = None) -> int:
+def schaper_det_rhs(lam: Partition, n: int) -> int:
     """The Gram-determinant valuation predicted by the same double sum.
 
     Identical to schaper_sum_rhs with each class replaced by its signed
@@ -124,7 +120,7 @@ def schaper_det_rhs(lam: Partition, n: int, s: int | None = None) -> int:
     """
     if n < 2:
         raise ValueError("modulus n must be >= 2")
-    return sum(weight * d_symbol(betas) for weight, betas in _sum_formula_terms(lam, n, s))
+    return sum(weight * d_symbol(betas) for weight, betas in _sum_formula_terms(lam, n))
 
 
 def dim_weighting(vector: GrothendieckVector) -> int:

@@ -153,7 +153,7 @@ def test_criterion_07_theorem1():
 
 def test_criterion_08_pinned_value(matrices):
     _, dmat = matrices[(2, 2)]
-    report(8, dmat.entry((1, 1), (2,)) == LaurentPoly.q_power(1), "d_(1,1),(2) = q at n=2")
+    report(8, dmat.entry((1, 1), (2,)) == LaurentPoly({1: 1}), "d_(1,1),(2) = q at n=2")
 
 
 def test_criterion_09_determinant_bridge():

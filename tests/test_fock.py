@@ -16,17 +16,27 @@ from fockdec.fock import (
     bar_matrix,
     bar_partition,
     bar_vector,
-    betas_from_wedge,
     partition_from_wedge,
     single_term_form,
     straighten,
-    wedge_degree,
     wedge_from_partition,
 )
 from fockdec.laurent import LaurentPoly, parse_poly
 from fockdec.partitions import dominated_by, partition_from_betas, partitions_of
 
 one = LaurentPoly.one()
+
+
+def wedge_degree(head: tuple[int, ...]) -> int:
+    """Sum of i_j + j - 1 over the head (tail terms contribute zero)."""
+    return sum(value + j for j, value in enumerate(head))
+
+
+def betas_from_wedge(head: tuple[int, ...]) -> tuple[int, ...]:
+    """The (m+1)-entry beta-sequence (i_1 + m, ..., i_m + m, 0) of a degree-m word."""
+    m = wedge_degree(head)
+    full = list(head) + [-j + 1 for j in range(len(head) + 1, m + 1)]
+    return tuple(full[j] + m for j in range(m)) + (0,)
 
 
 def vec(*pairs):
@@ -116,12 +126,13 @@ class TestStraighten:
         with pytest.raises(ValueError):
             straighten((1, 0), 1)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
         # A memoized insertion costs nothing, so start from an empty memo.
         for budget in (2, 0):
+            monkeypatch.setattr(kernel, "DEFAULT_STEP_BUDGET", budget)
             kernel.clear_cache()
-            with pytest.raises(StepBudgetExceeded):
-                straighten(tuple(range(8)), 2, budget=budget)
+            with pytest.raises(StepBudgetExceeded, match=f"exceeded {budget} insertions"):
+                straighten(tuple(range(8)), 2)
 
 
 class TestBarInvolution:
@@ -149,7 +160,7 @@ class TestBarInvolution:
                     assert bar_partition(lam, n, k) == bar_partition(lam, n, k + 3)
 
     def test_semilinearity(self):
-        q = LaurentPoly.q_power(1)
+        q = LaurentPoly({1: 1})
         v = FockVector({(): q})
         assert bar_vector(v, 2) == FockVector({(): q.bar()})
         assert bar_vector(FockVector(), 3).is_zero()

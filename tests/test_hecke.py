@@ -41,7 +41,7 @@ from fockdec.canonical import decomposition_matrix
 from itertools import permutations as iter_permutations
 
 one = LaurentPoly.one()
-q = LaurentPoly.q_power(1)
+q = LaurentPoly({1: 1})
 
 
 def element(terms):

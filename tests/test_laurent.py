@@ -15,12 +15,18 @@ from fockdec.laurent import (
     cyclotomic_valuation,
     nu_quantum,
     parse_poly,
-    quantum_integer,
 )
 
-q = LaurentPoly.q_power(1)
-qi = LaurentPoly.q_power(-1)
+q = LaurentPoly({1: 1})
+qi = LaurentPoly({-1: 1})
 one = LaurentPoly.one()
+
+
+def quantum_integer(h: int) -> LaurentPoly:
+    """[h] = 1 + q + ... + q^{h-1}, the reference for `nu_quantum`."""
+    if h <= 0:
+        raise ValueError("quantum integer defined for h >= 1")
+    return LaurentPoly({e: 1 for e in range(h)})
 
 
 def poly_strategy(max_terms=5, max_exp=6, max_coeff=9):
@@ -41,6 +47,11 @@ class TestRing:
         assert q + 1 == LaurentPoly({1: 1, 0: 1})
         assert 2 * q == LaurentPoly({1: 2})
         assert 1 - q == LaurentPoly({0: 1, 1: -1})
+
+    @pytest.mark.parametrize("coeffs", [{0: 1.5}, {1.7: 1}, {"2": 1}, {True: 1}, {0: True}])
+    def test_inexact_terms_rejected(self, coeffs):
+        with pytest.raises(TypeError):
+            LaurentPoly(coeffs)
 
     @given(poly_strategy(), poly_strategy(), poly_strategy())
     def test_ring_axioms(self, f, g, h):

@@ -186,6 +186,11 @@ class TestDimensions:
                         product *= hook_length(lam, row, col)
                 assert dim_specht(lam) == factorial(m) // product
 
+    @pytest.mark.parametrize("bad", [(2, 0), (0,), (1, 2)])
+    def test_rejects_non_partitions(self, bad):
+        with pytest.raises(ValueError):
+            dim_specht(bad)
+
 
 class TestStandardTableaux:
     def test_counts(self):

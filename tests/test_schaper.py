@@ -51,14 +51,6 @@ class TestSumFormula:
         assert schaper_sum_rhs((1, 1), 2) == GrothendieckVector(SPECHT, {(2,): 1})
         assert schaper_sum_rhs((1, 1), 3).is_zero()
 
-    def test_padding_stability(self):
-        for n in (2, 3, 4):
-            for m in range(7):
-                for lam in partitions_of(m):
-                    base = schaper_sum_rhs(lam, n)
-                    assert base == schaper_sum_rhs(lam, n, s=len(lam) + 1)
-                    assert base == schaper_sum_rhs(lam, n, s=len(lam) + 2)
-
     def test_bad_modulus(self):
         for n in (0, 1):
             with pytest.raises(ValueError):

@@ -44,7 +44,7 @@ def test_matrix_json_round_trip(n, m):
         (BarMatrix, bar_matrix(n, m)),
         (DecompositionMatrix, decomposition_matrix(n, m)),
     ]:
-        reloaded = cls.from_json(matrix.to_json())
+        reloaded = cls.from_jsonable(json.loads(matrix.to_json()))
         assert reloaded == matrix
         assert reloaded.to_json() == matrix.to_json()
 
@@ -119,7 +119,7 @@ def test_rows_are_the_dense_view_of_columns():
     for lam in order:
         assert matrix.row(lam) == {mu: matrix.entry(lam, mu) for mu in order if matrix.entry(lam, mu)}
     before = matrix.entry((1,) * 5, (3, 2))
-    matrix.column((3, 2))[(1,) * 5] = LaurentPoly.q_power(7)
+    matrix.column((3, 2))[(1,) * 5] = LaurentPoly({7: 1})
     assert matrix.entry((1,) * 5, (3, 2)) == before
 
 
@@ -137,7 +137,7 @@ def test_row_index_matches_column_scan(n, m):
         before = column_scan_row(matrix, lam)
         row = matrix.row(lam)
         del row[lam]
-        row[matrix.order[0]] = LaurentPoly.q_power(7)
+        row[matrix.order[0]] = LaurentPoly({7: 1})
         assert list(matrix.row(lam).items()) == before == column_scan_row(matrix, lam)
         for label in [(m + 1,), (1,) * (m - 1), (m, 0)]:
             with pytest.raises(KeyError):
