@@ -38,8 +38,6 @@ def _antisymmetric_lift(r: dict) -> LaurentPoly:
 class DecompositionMatrix(PartitionMatrix):
     """Columns are canonical basis vectors expanded in the partition basis."""
 
-    kind = "decomposition"
-
     def validate(self) -> None:
         self._check_unitriangular(
             LaurentPoly.is_q_multiple,
@@ -110,7 +108,7 @@ def canonical_vector(lam: Partition, n: int) -> FockVector:
     """The canonical basis vector G(lam)."""
     lam = check_partition(lam)
     dmat = decomposition_matrix(n, sum(lam))
-    return FockVector(dmat.column(lam))
+    return FockVector._make(dmat.m, dmat.column(lam))
 
 
 @dataclass

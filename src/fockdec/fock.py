@@ -58,7 +58,9 @@ class FockVector(Combination):
     __slots__ = ()
 
     def __init__(self, terms=None):
-        self.terms = self._poly_terms(terms)
+        self.terms = {
+            check_partition(lam): coeff for lam, coeff in self._poly_terms(terms).items()
+        }
         degrees = {sum(lam) for lam in self.terms}
         if len(degrees) > 1:
             raise ValueError(f"mixed degrees in Fock vector: {sorted(degrees)}")
@@ -66,7 +68,8 @@ class FockVector(Combination):
 
     @classmethod
     def basis(cls, lam: Partition) -> "FockVector":
-        return cls({check_partition(lam): LaurentPoly.one()})
+        lam = check_partition(lam)
+        return cls._make(sum(lam), {lam: LaurentPoly.one()})
 
     def __repr__(self):
         if not self.terms:
@@ -93,9 +96,9 @@ def straighten(head, n: int) -> FockVector:
     if any(e <= -k for e in head):
         raise ValueError(f"head {head} has entries reaching the implicit tail")
     raw = kernel.straighten_raw(head, n)
-    return FockVector(
-        {partition_from_wedge(h): LaurentPoly(c) for h, c in raw.items()}
-    )
+    terms = {partition_from_wedge(h): LaurentPoly(c) for h, c in raw.items()}
+    # Straightening keeps the degree, so every term has that of the first.
+    return FockVector._make(sum(next(iter(terms))) if terms else None, terms)
 
 
 def _alpha_statistic(head: tuple[int, ...], n: int) -> int:
@@ -147,8 +150,6 @@ def bar_vector(v: FockVector, n: int) -> FockVector:
 
 class BarMatrix(PartitionMatrix):
     """Matrix of bar-involution coefficients: column tau holds bar of |tau>."""
-
-    kind = "bar"
 
     def validate(self) -> None:
         """Unitriangularity and vanishing at q=1 off the diagonal."""

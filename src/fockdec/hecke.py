@@ -5,7 +5,8 @@ built on the quadratic relation T_i^2 = (q-1) T_i + q (so T_w T_i = T_{w s_i}
 when the length goes up, and (q-1) T_w + q T_{w s_i} otherwise), cell modules
 come from the cellular basis m_{st} = T_{d(s)*} x_shape T_{d(t)} with x the
 sum of T_w over a row stabilizer, and Gram matrices are extracted by exact
-elimination against that basis.
+elimination against that basis; their ranks at a primitive n-th root come
+from a fraction-free elimination on the entries' residues modulo Phi_n.
 
 The arithmetic runs on raw tables {perm: {exponent: int}} that never hold an
 empty coefficient, merged with `laurent.add_product` and `laurent.add_scaled`,
@@ -37,16 +38,16 @@ are insensitive to the remaining unit and q-power normalization choices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import gcd
 
 from fockdec.errors import ConventionError, ZeroGramDeterminant
 from fockdec.laurent import (
     LaurentPoly,
     add_product,
     add_scaled,
-    cyclotomic,
+    cyclotomic_residue,
     cyclotomic_valuation,
 )
 from fockdec.partitions import (
@@ -232,13 +233,12 @@ class MurphyTable:
                             f"cellular element {key} is not independent"
                         )
                     pivot = self._lead(residual)
-                    coeff = LaurentPoly(residual[pivot])
-                    if not coeff.is_unit_monomial():
+                    (exp, unit), *rest = residual[pivot].items()
+                    if rest or abs(unit) != 1:
                         raise ConventionError(
                             f"reduced cellular element {key} has non-unit "
-                            f"pivot coefficient {coeff} at {pivot}"
+                            f"pivot coefficient {LaurentPoly(residual[pivot])} at {pivot}"
                         )
-                    ((exp, unit),) = coeff.items()
                     combo = add_scaled({key: {0: 1}}, used, {0: -1})
                     self.records[pivot] = (exp, unit, residual, combo)
 
@@ -448,53 +448,29 @@ def gram_det_valuation(lam: Partition, n: int, size_cap: int = DEFAULT_SIZE_CAP)
 def gram_rank_at_root(lam: Partition, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> int:
     """Rank of the Gram matrix with q specialized to a primitive n-th root.
 
-    The residue field Q[q]/(Phi_n) = Q(zeta_n) acts on Q^d, d = deg Phi_n,
-    through the companion matrix C of Phi_n, and C^n = 1.  Replacing each
-    entry f by the d x d block f(C) gives a matrix over Q whose rank is d
-    times the rank over Q(zeta_n); one Gaussian elimination over Fraction
-    finds it.
-
-    The same blocks over Q[q]/(Phi_n^i), from the companion matrix of
-    Phi_n^i, have rank d * sum_k max(0, i - v_k) over the elementary
-    divisors Phi_n^(v_k) of the Gram matrix; the ranks for i = 1, 2, ...
-    thus count the elementary divisors of each valuation, which give the
-    layers of the Jantzen filtration.
+    Phi_n is monic, so Z[q]/(Phi_n) is the domain Z[zeta_n], and the rank
+    over Q(zeta_n) is the number of pivots of a fraction-free elimination on
+    the residues of the entries: each later row r becomes p * r - r[col] * top
+    for the pivot p of row top, reduced modulo Phi_n and divided by the gcd
+    of its integer coefficients, which keeps them small.
     """
-    gram = gram_matrix(lam, size_cap)
-    phi, _shift = cyclotomic(n)._as_poly()
-    d = len(phi) - 1
-    # reduced[k]: the coefficients of q^k modulo Phi_n, for 0 <= k < n + d.
-    reduced = []
-    current = [1] + [0] * (d - 1)
-    for _ in range(n + d):
-        reduced.append(current)
-        lead = current[-1]
-        current = [x - lead * c for x, c in zip([0] + current[:-1], phi)]
-    # Block column j of f(C) holds f * q^j, reduced; q^n = 1 in the residue field.
-    rows = [
-        [
-            sum(c * reduced[e % n + j][i] for e, c in entry.items())
-            for entry in gram_row
-            for j in range(d)
-        ]
-        for gram_row in gram.rows
-        for i in range(d)
-    ]
-    return _rank(rows) // d
-
-
-def _rank(rows: list[list]) -> int:
-    """Rank over Q by Gaussian elimination; `rows` is reduced in place."""
+    if n < 2:
+        raise ValueError("modulus n must be >= 2")
+    rows = [[cyclotomic_residue(f, n) for f in row] for row in gram_matrix(lam, size_cap).rows]
     rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
+    for col in range(len(rows)):
+        index = next((i for i, row in enumerate(rows) if row[col]), None)
+        if index is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            factor = Fraction(rows[r][col]) / top[col]
-            if factor:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], top)]
+        top = rows.pop(index)
         rank += 1
+        for i, row in enumerate(rows):
+            if row[col]:
+                lead = {e: -c for e, c in row[col].items()}
+                row = [
+                    cyclotomic_residue(add_product(add_product({}, top[col], x), lead, y), n)
+                    for x, y in zip(row, top)
+                ]
+                content = gcd(*(c for f in row for c in f.values())) or 1
+                rows[i] = [{e: c // content for e, c in f.items()} for f in row]
     return rank

@@ -1,8 +1,8 @@
 """Exact arithmetic in the ring of integer Laurent polynomials in q.
 
 Coefficients are arbitrary-precision Python integers; exponents may be
-negative.  The module also provides cyclotomic polynomials and the
-multiplicity-of-Phi_n valuation used throughout.
+negative.  The module also provides cyclotomic polynomials, the
+multiplicity-of-Phi_n valuation used throughout, and residues modulo Phi_n.
 
 It is also the one home of sparse arithmetic: `add_into` merges
 {key: coefficient} tables, `add_product` raw {exponent: int} tables, and
@@ -71,10 +71,6 @@ class LaurentPoly:
     def is_q_multiple(self) -> bool:
         """True iff the polynomial lies in q.Z[q] (all exponents >= 1)."""
         return all(e >= 1 for e in self._c)
-
-    def is_unit_monomial(self) -> bool:
-        """True iff of the form +-q^k."""
-        return len(self._c) == 1 and abs(next(iter(self._c.values()))) == 1
 
     def is_monomial(self) -> bool:
         return len(self._c) == 1
@@ -431,6 +427,19 @@ def cyclotomic_valuation(f: LaurentPoly, n: int) -> int:
         except ValueError:
             return count
         count += 1
+
+
+def cyclotomic_residue(f, n: int) -> dict:
+    """The raw table of f (raw or LaurentPoly) modulo Phi_n, empty iff f(zeta_n) = 0.
+
+    Exponents, negative ones too, fold mod n first, as Phi_n divides q^n - 1.
+    """
+    phi, _shift = cyclotomic(n)._as_poly()
+    dense = [0] * n
+    for e, c in f.items():
+        dense[e % n] += c
+    _quo, rem = _poly_divmod(dense, phi)
+    return {e: c for e, c in enumerate(rem) if c}
 
 
 def nu_quantum(h: int, n: int) -> int:

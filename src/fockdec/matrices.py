@@ -45,8 +45,6 @@ class PartitionMatrix:
     built on each access, for rendering.
     """
 
-    kind = "matrix"
-
     def __init__(self, n: int, m: int, order, columns: dict):
         self.n = n
         self.m = m

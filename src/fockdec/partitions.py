@@ -65,6 +65,8 @@ def dominated_by(lam: Partition, mu: Partition) -> bool:
     """True iff lam is dominated by mu: every prefix sum of lam is <= mu's.
 
     Both partitions must have the same size; dominance is undefined otherwise.
+    Neither is checked to be a partition, since `validate` asks this of
+    every nonzero matrix entry.
     """
     if sum(lam) != sum(mu):
         raise ValueError(f"dominance undefined across sizes: {lam} vs {mu}")
@@ -78,14 +80,19 @@ def dominated_by(lam: Partition, mu: Partition) -> bool:
 
 
 def conjugate(lam: Partition) -> Partition:
-    """Transpose of the Young diagram."""
+    """Transpose of the Young diagram; ValueError unless lam is a partition."""
+    lam = check_partition(lam)
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p >= c) for c in range(1, lam[0] + 1))
 
 
 def hook_length(lam: Partition, row: int, col: int) -> int:
-    """Hook length of the cell (row, col), 1-based: arm + leg + 1."""
+    """Hook length of the cell (row, col), 1-based: arm + leg + 1.
+
+    lam must be a partition; it is not checked, since hook lengths sit on
+    the sum formula's inner loop.
+    """
     if not (1 <= row <= len(lam) and 1 <= col <= lam[row - 1]):
         raise ValueError(f"cell ({row},{col}) outside diagram of {lam}")
     arm = lam[row - 1] - col
@@ -97,8 +104,10 @@ def first_column_betas(lam: Partition, s: int) -> tuple[int, ...]:
     """Beta-numbers (lam_i + s - i for i = 1..s), generalizing first-column hooks.
 
     Requires s >= number of parts; for s == number of parts these are exactly
-    the first-column hook lengths.
+    the first-column hook lengths.  Raises ValueError unless lam is a
+    partition.
     """
+    lam = check_partition(lam)
     if s < len(lam):
         raise ValueError(f"s={s} smaller than number of parts of {lam}")
     return tuple((lam[i - 1] if i <= len(lam) else 0) + s - i for i in range(1, s + 1))
@@ -133,9 +142,8 @@ def dim_specht(lam: Partition) -> int:
     Each hook is lam_row - col + lam'_col - row + 1, with the conjugate
     lam' computed once.  Raises ValueError unless lam is a partition.
     """
-    lam = check_partition(lam)
+    columns = conjugate(lam)  # checks lam
     m = sum(lam)
-    columns = conjugate(lam)
     product = 1
     for row, part in enumerate(lam, 1):
         for col in range(1, part + 1):
@@ -155,7 +163,11 @@ def d_symbol(betas) -> int:
 
 
 def is_regular(lam: Partition, n: int) -> bool:
-    """True iff no part value repeats n or more times."""
+    """True iff no part value repeats n or more times.
+
+    lam must be a partition; it is not checked, since regularity filters
+    every row a Theorem-1 check reads.
+    """
     if n < 2:
         raise ValueError("regularity requires n >= 2")
     run = 0
@@ -175,8 +187,10 @@ def standard_tableaux(lam: Partition) -> tuple[Tableau, ...]:
     """All standard tableaux of shape lam, ordered by row-reading word.
 
     Entries 1..m increase along rows and down columns; the enumeration order
-    is lexicographic on the concatenation of the rows.
+    is lexicographic on the concatenation of the rows.  Raises ValueError
+    unless lam is a partition.
     """
+    lam = check_partition(lam)
     m = sum(lam)
     rows = len(lam)
     results = []

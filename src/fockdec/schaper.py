@@ -46,7 +46,13 @@ class GrothendieckVector(Combination):
         if basis not in (SPECHT, SIMPLE):
             raise ValueError(f"unknown basis tag {basis!r}")
         self.space = basis
-        self.terms = {tuple(lam): value for lam, value in (terms or {}).items() if value}
+        self.terms = {}
+        for lam, value in (terms or {}).items():
+            lam = check_partition(lam)
+            if type(value) is not int:
+                raise TypeError(f"non-integer coefficient {value!r} at {lam}")
+            if value:
+                self.terms[lam] = value
 
     def __repr__(self):
         if not self.terms:
@@ -67,22 +73,13 @@ class GrothendieckVector(Combination):
         }
 
 
-def simple_vector(coords, n: int) -> GrothendieckVector:
-    """A simple-basis vector, validated to be supported on n-regular labels."""
-    vector = GrothendieckVector(SIMPLE, coords)
-    for lam in vector.terms:
-        if not is_regular(lam, n):
-            raise ValueError(f"simple-basis support contains {lam}, not {n}-regular")
-    return vector
-
-
 def _sum_formula_terms(lam: Partition, n: int):
     """Yield (weight, beta_sequence) terms of the hook-length double sum.
 
     The beta-sequences have one entry per row of lam, and the sum runs over
     rows a <= b; padding lam with zero rows would add no term.
+    `first_column_betas` raises ValueError unless lam is a partition.
     """
-    lam = check_partition(lam)
     rows = len(lam)
     betas = first_column_betas(lam, rows)
     for a in range(1, rows + 1):
@@ -143,7 +140,7 @@ def jantzen_prediction(lam: Partition, n: int) -> GrothendieckVector:
         value = entry.derivative_at_one()
         if value and is_regular(mu, n):
             coords[mu] = value
-    return simple_vector(coords, n)
+    return GrothendieckVector._make(SIMPLE, coords)
 
 
 def gabber_joseph_rhs(lam: Partition, n: int) -> GrothendieckVector:
@@ -160,7 +157,7 @@ def gabber_joseph_rhs(lam: Partition, n: int) -> GrothendieckVector:
                 f"bar matrix derivative at ({lam}, {tau}) is odd: {value}"
             )
         coords[tau] = value // 2
-    return GrothendieckVector(SPECHT, coords)
+    return GrothendieckVector._make(SPECHT, coords)
 
 
 def specht_to_simple(vector: GrothendieckVector, n: int) -> GrothendieckVector:
@@ -177,7 +174,7 @@ def specht_to_simple(vector: GrothendieckVector, n: int) -> GrothendieckVector:
     for tau, value in vector.terms.items():
         at_one = {mu: d.eval_at_one() for mu, d in dmat.row(tau).items() if is_regular(mu, n)}
         add_into(coords, at_one, value)
-    return simple_vector(coords, n)
+    return GrothendieckVector._make(SIMPLE, coords)
 
 
 @dataclass

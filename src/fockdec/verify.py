@@ -71,6 +71,10 @@ def run_verification(
         raise ValueError("suites is empty; name at least one suite")
     if not n_set:
         raise ValueError("n_set is empty; name at least one modulus")
+    if any(n < 2 for n in n_set):
+        raise ValueError(f"every modulus in n_set must be at least 2, got {n_set}")
+    if max_m < 0:
+        raise ValueError(f"max_m must be non-negative, got {max_m}")
     for suite in suites:
         if suite not in ALL_SUITES:
             raise ValueError(f"unknown suite {suite!r}; choose from {ALL_SUITES}")
@@ -175,7 +179,7 @@ def _canonical_structure(n, m):
         detail = str(exc)
     yield CheckResult(check="canonical-structure", n=n, lam=None, passed=ok, lhs=detail)
     for lam in dmat.order:
-        column = FockVector(dmat.column(lam))
+        column = FockVector._make(m, dmat.column(lam))
         invariant = bar_vector(column, n) == column
         negative = any(
             c < 0 for coeff in column.terms.values() for _, c in coeff.items()

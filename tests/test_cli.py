@@ -169,6 +169,30 @@ class TestVerify:
         with pytest.raises(ValueError, match="n_set is empty"):
             verify.run_verification(2, ())
 
+    def test_library_rejects_bad_ranges(self):
+        with pytest.raises(ValueError, match="max_m must be non-negative"):
+            verify.run_verification(-1, (2,))
+        with pytest.raises(ValueError, match="at least 2"):
+            verify.run_verification(2, (1,), ("ariki",))
+        with pytest.raises(ValueError, match="at least 2"):
+            verify.run_verification(2, (3, 0))
+
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--max-m", "-1", "max_m must be non-negative"),
+            ("--n-set", "2,1", "at least 2"),
+            ("--suite", "involution,nonsense", "unknown suite 'nonsense'"),
+        ],
+    )
+    def test_library_errors_are_usage_errors(self, option, value, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--max-m", "1", "--n-set", "2", option, value])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "nonsense"])
@@ -179,6 +203,15 @@ class TestVerify:
         code, out = run(["verify", "--format", "json"], capsys)
         assert code == 0
         assert len(json.loads(out)) == expected["cases"]
+        assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
+
+    def test_reordered_suites_match_benchmark_digest(self, capsys):
+        # The benchmark names every suite in a seed-shuffled order, so the
+        # report must not depend on the order of --suite.
+        expected = json.loads(BENCHMARK_EXPECTED.read_text())["full"]["verify"]
+        suites = ",".join(reversed(verify.ALL_SUITES))
+        code, out = run(["verify", "--format", "json", "--suite", suites], capsys)
+        assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
 
 
@@ -352,3 +385,14 @@ class TestVerbose:
         stderr = self.stderr_of(["schaper", "--lambda", "4,2", "--n", "2"], tmp_path)
         assert stderr.count("is not a single") == 1
         assert "(2,2,1,1, 4,2)" in stderr
+
+
+def test_import_leaves_fractions_unloaded():
+    # In a fresh interpreter, so that what other tests import cannot matter.
+    src = Path(fockdec.__file__).resolve().parents[1]
+    subprocess.run(
+        [sys.executable, "-c", "import sys, fockdec.cli; assert 'fractions' not in sys.modules"],
+        check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )

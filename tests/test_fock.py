@@ -242,3 +242,13 @@ class TestFockVectorJson:
     def test_mixed_degree_rejected(self):
         with pytest.raises(ValueError):
             FockVector({(1,): one, (2,): one})
+
+    @pytest.mark.parametrize("bad", [(1, 2), (2, 0), (0,)])
+    def test_non_partition_rejected(self, bad):
+        with pytest.raises(ValueError):
+            FockVector({bad: one})
+
+    def test_internal_results_carry_their_degree(self):
+        assert straighten((1, 1), 2) == FockVector()
+        assert straighten((0, 1), 2).space == 2
+        assert FockVector.basis([2, 1]) == FockVector({(2, 1): one})

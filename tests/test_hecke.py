@@ -544,9 +544,31 @@ class TestResidueField:
         for n, expected in self.PINNED_RANKS.items():
             assert [gram_rank_at_root(lam, n) for lam in shapes] == expected, n
 
+    # Every partition of 6 (partitions_of order) at n = 2..7, as the
+    # companion-block elimination over Q computed them.  Gram sizes reach 16,
+    # so rows are divided by their content at many steps.
+    PINNED_RANKS_6 = {
+        2: [1, 4, 5, 0, 0, 16, 0, 0, 0, 0, 0],
+        3: [1, 4, 9, 6, 1, 4, 0, 0, 9, 0, 0],
+        4: [1, 5, 4, 10, 4, 16, 10, 1, 5, 0, 0],
+        5: [1, 5, 8, 10, 5, 8, 10, 5, 1, 5, 0],
+        6: [1, 4, 9, 6, 5, 16, 4, 5, 9, 1, 0],
+        7: [1, 5, 9, 10, 5, 16, 10, 5, 9, 5, 1],
+    }
+
+    def test_pinned_ranks_of_six(self):
+        for n, expected in self.PINNED_RANKS_6.items():
+            ranks = [gram_rank_at_root(lam, n, size_cap=6) for lam in partitions_of(6)]
+            assert ranks == expected, n
+
     def test_rank_examples(self):
         assert gram_rank_at_root((1, 1), 2) == 0
         assert gram_rank_at_root((2,), 2) == 1
+
+    @pytest.mark.parametrize("n", [1, 0, -2])
+    def test_modulus_below_two_rejected(self, n):
+        with pytest.raises(ValueError, match="at least 2|>= 2"):
+            gram_rank_at_root((2, 1), n)
 
     def test_rank_zero_iff_singular(self):
         for m in range(1, 5):
@@ -571,3 +593,4 @@ class TestResidueField:
                         for mu in partitions_of(m)
                     )
                     assert total == dim_specht(lam)
+

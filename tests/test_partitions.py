@@ -192,6 +192,17 @@ class TestDimensions:
             dim_specht(bad)
 
 
+@pytest.mark.parametrize("bad", [(1, 2), (2, 0), (0,), (True,)])
+@pytest.mark.parametrize(
+    "helper",
+    [conjugate, lambda lam: first_column_betas(lam, 2), standard_tableaux],
+    ids=["conjugate", "first_column_betas", "standard_tableaux"],
+)
+def test_helpers_reject_non_partitions(helper, bad):
+    with pytest.raises(ValueError):
+        helper(bad)
+
+
 class TestStandardTableaux:
     def test_counts(self):
         assert len(standard_tableaux((2,))) == 1

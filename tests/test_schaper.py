@@ -13,7 +13,6 @@ from fockdec.schaper import (
     jantzen_prediction,
     schaper_det_rhs,
     schaper_sum_rhs,
-    simple_vector,
     specht_to_simple,
     theorem1_check,
 )
@@ -33,10 +32,18 @@ class TestGrothendieckVector:
         assert (a - a).is_zero()
         assert a.scale(3).coeff((1, 1)) == -6
 
-    def test_simple_vector_validation(self):
+    @pytest.mark.parametrize("key", [(1, 2), (2, 0), (0,), (True,)])
+    def test_rejects_non_partition_keys(self, key):
         with pytest.raises(ValueError):
-            simple_vector({(1, 1): 1}, 2)
-        assert simple_vector({(2,): 1}, 2).coeff((2,)) == 1
+            GrothendieckVector(SPECHT, {(2,): 1, key: 1})
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, None])
+    def test_rejects_non_integer_values(self, value):
+        with pytest.raises(TypeError):
+            GrothendieckVector(SIMPLE, {(2,): value})
+
+    def test_zero_values_dropped(self):
+        assert GrothendieckVector(SPECHT, {(2,): 0, (1, 1): 3}).terms == {(1, 1): 3}
 
     def test_unknown_basis(self):
         with pytest.raises(ValueError):
@@ -75,7 +82,7 @@ class TestDeterminantSide:
 
 class TestPredictions:
     def test_jantzen_examples(self):
-        assert jantzen_prediction((1, 1), 2) == simple_vector({(2,): 1}, 2)
+        assert jantzen_prediction((1, 1), 2) == GrothendieckVector(SIMPLE, {(2,): 1})
         assert jantzen_prediction((2,), 2).is_zero()
         assert jantzen_prediction((2, 1), 5).is_zero()
 
@@ -91,15 +98,15 @@ class TestPredictions:
     def test_specht_to_simple_examples(self):
         assert specht_to_simple(
             GrothendieckVector(SPECHT, {(2,): 1}), 2
-        ) == simple_vector({(2,): 1}, 2)
+        ) == GrothendieckVector(SIMPLE, {(2,): 1})
         assert specht_to_simple(
             GrothendieckVector(SPECHT, {(1, 1): 1}), 2
-        ) == simple_vector({(2,): 1}, 2)
+        ) == GrothendieckVector(SIMPLE, {(2,): 1})
         assert specht_to_simple(GrothendieckVector(SPECHT), 2).is_zero()
 
     def test_specht_to_simple_wrong_basis(self):
         with pytest.raises(ValueError):
-            specht_to_simple(simple_vector({(2,): 1}, 2), 2)
+            specht_to_simple(GrothendieckVector(SIMPLE, {(2,): 1}), 2)
 
 
 class TestTheorem1:
