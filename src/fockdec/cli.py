@@ -119,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("bar", "bar-involution matrix for (n, m)"),
     ):
         p_matrix = sub.add_parser(command, help=about)
+        p_matrix.set_defaults(handler=cmd_matrix)
         p_matrix.add_argument("--n", type=int, required=True)
         p_matrix.add_argument("--m", type=int, required=True)
         p_matrix.add_argument("--format", choices=FORMATS, default="text")
@@ -132,11 +133,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_schaper = sub.add_parser(
         "schaper", help="sum-formula vector and verdict for one partition"
     )
+    p_schaper.set_defaults(handler=cmd_schaper)
     p_schaper.add_argument("--lambda", dest="lam", required=True)
     p_schaper.add_argument("--n", type=int, required=True)
     p_schaper.add_argument("--format", choices=REPORT_FORMATS, default="text")
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
+    p_verify.set_defaults(handler=cmd_verify)
     p_verify.add_argument("--max-m", type=int, default=6)
     p_verify.add_argument("--n-set", default="2,3,4,5")
     p_verify.add_argument(
@@ -153,6 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_gram = sub.add_parser("gram", help="Gram determinant report for one partition")
+    p_gram.set_defaults(handler=cmd_gram)
     p_gram.add_argument("--lambda", dest="lam", required=True)
     p_gram.add_argument("--n", type=int, required=True)
     p_gram.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
@@ -170,11 +174,11 @@ def _cache_dir(args) -> Path:
     return args.cache_dir if args.cache_dir is not None else default_cache_dir()
 
 
-def cmd_matrix(parser, args, kind: str) -> int:
+def cmd_matrix(parser, args) -> int:
     _validate_n(parser, args.n)
     if args.m < 0:
         parser.error(f"--m must be non-negative, got {args.m}")
-    matrix = cached_matrix(kind, args.n, args.m, _cache_dir(args))
+    matrix = cached_matrix(args.command, args.n, args.m, _cache_dir(args))
     sys.stdout.write(matrix.render(args.format))
     return 0
 
@@ -208,20 +212,21 @@ def cmd_schaper(parser, args) -> int:
 
 
 def cmd_verify(parser, args) -> int:
-    _parse_err = parser.error
     try:
         n_set = tuple(int(piece) for piece in args.n_set.split(",") if piece.strip())
     except ValueError:
-        _parse_err(f"cannot parse --n-set {args.n_set!r}")
+        parser.error(f"cannot parse --n-set {args.n_set!r}")
     if not n_set:
-        _parse_err(f"--n-set {args.n_set!r} names no modulus")
+        parser.error(f"--n-set {args.n_set!r} names no modulus")
     suites = tuple(piece.strip() for piece in args.suite.split(",") if piece.strip())
     if not suites:
-        _parse_err(f"--suite {args.suite!r} names no suite")
+        parser.error(f"--suite {args.suite!r} names no suite")
     try:
-        results = verify.run_verification(max_m=args.max_m, n_set=n_set, suites=suites)
+        verify.check_arguments(args.max_m, n_set, suites)
     except ValueError as exc:
-        _parse_err(str(exc))
+        parser.error(str(exc))
+    # A ValueError from a suite is a fault of the program, not of the arguments.
+    results = verify.run_verification(max_m=args.max_m, n_set=n_set, suites=suites)
     if args.format == "json":
         print(json.dumps([r.to_json() for r in results], indent=2))
     else:
@@ -266,18 +271,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.verbose:
         logging.basicConfig(level=logging.INFO)
-    if args.command == "decomp":
-        return cmd_matrix(parser, args, "decomp")
-    if args.command == "bar":
-        return cmd_matrix(parser, args, "bar")
-    if args.command == "schaper":
-        return cmd_schaper(parser, args)
-    if args.command == "verify":
-        return cmd_verify(parser, args)
-    if args.command == "gram":
-        return cmd_gram(parser, args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    return args.handler(parser, args)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Driver for the full verification suite.
 
-Each suite produces CheckResult records, one per (check, lambda, n) case;
-the CLI turns them into a human table, a JSON report, and an exit status.
-Aggregation is order-independent: results are sorted by (check, n, m,
+Each suite yields one (lambda, passed, lhs, rhs) case at a time for one
+(n, m); the driver turns the cases into CheckResult records and the CLI turns
+those into a human table, a JSON report, and an exit status.  A suite is one
+entry of `SUITES`: its case function and the rule for which (n, m) it runs
+at.  Aggregation is order-independent: results are sorted by (check, n,
 lambda) before rendering.
 """
 
@@ -20,20 +22,6 @@ from fockdec.partitions import (
     partitions_of,
 )
 
-ALL_SUITES = (
-    "involution",
-    "k-stability",
-    "bar-structure",
-    "canonical-structure",
-    "bar-triangle",
-    "derivative",
-    "theorem1",
-    "det-bridge",
-    "semisimple",
-    "oracle",
-    "ariki",
-)
-
 # Desk-scale Hecke computations get their own, tighter default ranges.
 ORACLE_MAX_M = 5
 ORACLE_N4_MAX_M = 4
@@ -48,8 +36,8 @@ class CheckResult:
     n: int
     lam: tuple | None
     passed: bool
-    lhs: str = ""
-    rhs: str = ""
+    lhs: str
+    rhs: str
 
     def to_json(self) -> dict:
         return {
@@ -62,67 +50,11 @@ class CheckResult:
         }
 
 
-def run_verification(
-    max_m: int,
-    n_set: tuple[int, ...],
-    suites: tuple[str, ...] = ALL_SUITES,
-) -> list[CheckResult]:
-    if not suites:
-        raise ValueError("suites is empty; name at least one suite")
-    if not n_set:
-        raise ValueError("n_set is empty; name at least one modulus")
-    if any(n < 2 for n in n_set):
-        raise ValueError(f"every modulus in n_set must be at least 2, got {n_set}")
-    if max_m < 0:
-        raise ValueError(f"max_m must be non-negative, got {max_m}")
-    for suite in suites:
-        if suite not in ALL_SUITES:
-            raise ValueError(f"unknown suite {suite!r}; choose from {ALL_SUITES}")
-    results: list[CheckResult] = []
-    run = {suite: suite in suites for suite in ALL_SUITES}
-
-    for n in n_set:
-        for m in range(max_m + 1):
-            if run["involution"]:
-                results.extend(_involution(n, m))
-            if run["k-stability"] and m <= K_STABILITY_MAX_M:
-                results.extend(_k_stability(n, m))
-            if run["bar-structure"]:
-                results.extend(_bar_structure(n, m))
-            if run["canonical-structure"]:
-                results.extend(_canonical_structure(n, m))
-            if run["bar-triangle"]:
-                results.append(_identity(n, m, "bar-triangle"))
-            if run["derivative"]:
-                results.append(_identity(n, m, "derivative"))
-            if run["theorem1"]:
-                results.extend(_theorem1(n, m))
-            if run["det-bridge"]:
-                results.extend(_det_bridge(n, m))
-            if run["oracle"] and _oracle_in_range(n, m):
-                results.extend(_oracle(n, m))
-            if run["ariki"] and n in (2, 3) and m <= ARIKI_MAX_M:
-                results.extend(_ariki(n, m))
-    if run["semisimple"]:
-        for m in range(min(max_m, SEMISIMPLE_MAX_M) + 1):
-            for n in range(max(m + 1, 2), m + 4):
-                results.extend(_semisimple(n, m))
-    results.sort(key=lambda r: (r.check, r.n, r.lam if r.lam is not None else ()))
-    return results
-
-
 def _involution(n, m):
     for lam in partitions_of(m):
         twice = bar_vector(bar_partition(lam, n), n)
         expected = FockVector.basis(lam)
-        yield CheckResult(
-            check="involution",
-            n=n,
-            lam=lam,
-            passed=twice == expected,
-            lhs=repr(twice),
-            rhs=repr(expected),
-        )
+        yield lam, twice == expected, repr(twice), repr(expected)
 
 
 def _k_stability(n, m):
@@ -130,110 +62,72 @@ def _k_stability(n, m):
         k = max(m, len(lam))
         small = bar_partition(lam, n, k)
         large = bar_partition(lam, n, k + 3)
-        yield CheckResult(
-            check="k-stability",
-            n=n,
-            lam=lam,
-            passed=small == large,
-            lhs=repr(small),
-            rhs=repr(large),
-        )
+        yield lam, small == large, repr(small), repr(large)
+
+
+def _validated(matrix, detail):
+    """The lambda-free case for `matrix.validate()`: `detail`, or the failure."""
+    try:
+        matrix.validate()
+    except AssertionError as exc:
+        return None, False, str(exc), ""
+    return None, True, detail, ""
 
 
 def _bar_structure(n, m):
     amat = bar_matrix(n, m)
-    try:
-        amat.validate()
-        structure_ok = True
-        detail = "unitriangular, zero at q=1 off-diagonal"
-    except AssertionError as exc:
-        structure_ok = False
-        detail = str(exc)
-    yield CheckResult(
-        check="bar-structure", n=n, lam=None, passed=structure_ok, lhs=detail
-    )
+    yield _validated(amat, "unitriangular, zero at q=1 off-diagonal")
     odd = amat.row_major(
         (lam, tau)
         for tau, column in amat.columns.items()
         for lam, entry in column.items()
         if entry.derivative_at_one() % 2
     )
-    yield CheckResult(
-        check="bar-structure",
-        n=n,
-        lam=(m,) if m else (),
-        passed=not odd,
-        lhs=f"odd derivative entries: {odd!r}" if odd else "all derivatives even",
-        rhs=f"m={m}",
+    yield (
+        (m,) if m else (),
+        not odd,
+        f"odd derivative entries: {odd!r}" if odd else "all derivatives even",
+        f"m={m}",
     )
 
 
 def _canonical_structure(n, m):
     dmat = canonical.decomposition_matrix(n, m)
-    try:
-        dmat.validate()
-        ok = True
-        detail = "unitriangular over Z[q], constant term delta"
-    except AssertionError as exc:
-        ok = False
-        detail = str(exc)
-    yield CheckResult(check="canonical-structure", n=n, lam=None, passed=ok, lhs=detail)
+    yield _validated(dmat, "unitriangular over Z[q], constant term delta")
     for lam in dmat.order:
         column = FockVector._make(m, dmat.column(lam))
         invariant = bar_vector(column, n) == column
         negative = any(
             c < 0 for coeff in column.terms.values() for _, c in coeff.items()
         )
-        yield CheckResult(
-            check="canonical-structure",
-            n=n,
-            lam=lam,
-            passed=invariant and not negative,
-            lhs="bar-invariant" if invariant else "not bar-invariant",
-            rhs="coefficients >= 0" if not negative else "negative coefficient",
+        yield (
+            lam,
+            invariant and not negative,
+            "bar-invariant" if invariant else "not bar-invariant",
+            "coefficients >= 0" if not negative else "negative coefficient",
         )
 
 
-def _identity(n, m, which):
-    if which == "bar-triangle":
-        report = canonical.gj_identity_check(n, m)
-    else:
-        report = canonical.derivative_identity_check(n, m)
-    return CheckResult(
-        check=which,
-        n=n,
-        lam=(m,) if m else (),
-        passed=report.passed,
-        lhs="entrywise equal" if report.passed else repr(report.failures[:3]),
-        rhs=f"m={m}",
+def _identity(report, m):
+    yield (
+        (m,) if m else (),
+        report.passed,
+        "entrywise equal" if report.passed else repr(report.failures[:3]),
+        f"m={m}",
     )
 
 
 def _theorem1(n, m):
     for lam in partitions_of(m):
         report = schaper.theorem1_check(lam, n)
-        yield CheckResult(
-            check="theorem1",
-            n=n,
-            lam=lam,
-            passed=report.passed,
-            lhs=repr(report.sum_formula),
-            rhs=repr(report.derivative_side),
-        )
+        yield lam, report.passed, repr(report.sum_formula), repr(report.derivative_side)
 
 
 def _det_bridge(n, m):
     for lam in partitions_of(m):
         det = schaper.schaper_det_rhs(lam, n)
         weighted = schaper.dim_weighting(schaper.schaper_sum_rhs(lam, n))
-        yield CheckResult(
-            check="det-bridge",
-            n=n,
-            lam=lam,
-            passed=det == weighted and det >= 0,
-            lhs=str(det),
-            rhs=str(weighted),
-        )
+        yield lam, det == weighted and det >= 0, str(det), str(weighted)
 
 
 def _semisimple(n, m):
@@ -248,34 +142,19 @@ def _semisimple(n, m):
     vanishing = all(
         schaper.schaper_sum_rhs(lam, n).is_zero() for lam in partitions_of(m)
     )
-    yield CheckResult(
-        check="semisimple",
-        n=n,
-        lam=(m,) if m else (),
-        passed=identity and vanishing,
-        lhs="identity matrices" if identity else "non-identity matrix",
-        rhs="zero sum-formula vectors" if vanishing else "nonzero vector",
+    yield (
+        (m,) if m else (),
+        identity and vanishing,
+        "identity matrices" if identity else "non-identity matrix",
+        "zero sum-formula vectors" if vanishing else "nonzero vector",
     )
-
-
-def _oracle_in_range(n, m):
-    if n in (2, 3) and m <= ORACLE_MAX_M:
-        return True
-    return n == 4 and m <= ORACLE_N4_MAX_M
 
 
 def _oracle(n, m):
     for lam in partitions_of(m):
         left = gram_det_valuation(lam, n)
         right = schaper.schaper_det_rhs(lam, n)
-        yield CheckResult(
-            check="oracle",
-            n=n,
-            lam=lam,
-            passed=left == right,
-            lhs=str(left),
-            rhs=str(right),
-        )
+        yield lam, left == right, str(left), str(right)
 
 
 def _ariki(n, m):
@@ -284,14 +163,89 @@ def _ariki(n, m):
     for lam in partitions_of(m):
         total = sum(d.eval_at_one() * ranks[mu] for mu, d in dmat.row(lam).items())
         expected = dim_specht(lam)
-        yield CheckResult(
-            check="ariki",
-            n=n,
-            lam=lam,
-            passed=total == expected,
-            lhs=str(total),
-            rhs=str(expected),
-        )
+        yield lam, total == expected, str(total), str(expected)
+
+
+def _always(n, m):
+    return True
+
+
+# Suite name -> (cases(n, m), runs_at(n, m)), in walk order.  A case function
+# yields (lambda, passed, lhs, rhs); lambda is None for a whole-matrix case.
+# Library functions are looked up when a suite runs, so that a tracer or a
+# test that replaces a module attribute sees every call.
+SUITES = {
+    "involution": (_involution, _always),
+    "k-stability": (_k_stability, lambda n, m: m <= K_STABILITY_MAX_M),
+    "bar-structure": (_bar_structure, _always),
+    "canonical-structure": (_canonical_structure, _always),
+    "bar-triangle": (
+        lambda n, m: _identity(canonical.gj_identity_check(n, m), m),
+        _always,
+    ),
+    "derivative": (
+        lambda n, m: _identity(canonical.derivative_identity_check(n, m), m),
+        _always,
+    ),
+    "theorem1": (_theorem1, _always),
+    "det-bridge": (_det_bridge, _always),
+    "semisimple": (
+        _semisimple,
+        lambda n, m: m < n <= m + 3 and m <= SEMISIMPLE_MAX_M,
+    ),
+    "oracle": (
+        _oracle,
+        lambda n, m: (n in (2, 3) and m <= ORACLE_MAX_M)
+        or (n == 4 and m <= ORACLE_N4_MAX_M),
+    ),
+    "ariki": (_ariki, lambda n, m: n in (2, 3) and m <= ARIKI_MAX_M),
+}
+
+ALL_SUITES = tuple(SUITES)
+
+
+def check_arguments(max_m: int, n_set: tuple[int, ...], suites: tuple[str, ...]) -> None:
+    """Raise ValueError unless `run_verification` accepts these arguments."""
+    if not suites:
+        raise ValueError("suites is empty; name at least one suite")
+    if not n_set:
+        raise ValueError("n_set is empty; name at least one modulus")
+    if any(n < 2 for n in n_set):
+        raise ValueError(f"every modulus in n_set must be at least 2, got {n_set}")
+    if max_m < 0:
+        raise ValueError(f"max_m must be non-negative, got {max_m}")
+    for suite in suites:
+        if suite not in SUITES:
+            raise ValueError(f"unknown suite {suite!r}; choose from {ALL_SUITES}")
+
+
+def run_verification(
+    max_m: int,
+    n_set: tuple[int, ...],
+    suites: tuple[str, ...] = ALL_SUITES,
+) -> list[CheckResult]:
+    check_arguments(max_m, n_set, suites)
+    chosen = [name for name in SUITES if name in suites and name != "semisimple"]
+    results = _walk([(n, m) for n in n_set for m in range(max_m + 1)], chosen)
+    if "semisimple" in suites:
+        # The one suite whose moduli do not come from n_set: its rule picks
+        # n = m+1..m+3 out of every modulus up to max_m + 3.
+        pairs = [(n, m) for m in range(max_m + 1) for n in range(2, max_m + 4)]
+        results += _walk(pairs, ["semisimple"])
+    results.sort(key=lambda r: (r.check, r.n, r.lam if r.lam is not None else ()))
+    return results
+
+
+def _walk(pairs, names) -> list[CheckResult]:
+    # (n, m) outermost: the matrix caches of fock and canonical hold the
+    # matrices of the current (n, m) for every suite that reads them.
+    results = []
+    for n, m in pairs:
+        for name in names:
+            cases, runs_at = SUITES[name]
+            if runs_at(n, m):
+                results.extend(CheckResult(name, n, *case) for case in cases(n, m))
+    return results
 
 
 def render_table(results: list[CheckResult]) -> str:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -192,6 +193,75 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    def test_suite_fault_is_not_a_usage_error(self, capsys, monkeypatch):
+        def broken(n, m):
+            raise ValueError("internal fault")
+
+        _, runs_at = verify.SUITES["involution"]
+        monkeypatch.setitem(verify.SUITES, "involution", (broken, runs_at))
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["verify", "--max-m", "1", "--n-set", "2", "--suite", "involution"])
+
+    @pytest.mark.parametrize(
+        "max_m,n_set,counts",
+        [
+            (
+                7,
+                (4, 6),
+                {
+                    "bar-structure": 32,
+                    "bar-triangle": 16,
+                    "canonical-structure": 106,
+                    "derivative": 16,
+                    "det-bridge": 90,
+                    "involution": 90,
+                    "k-stability": 60,
+                    "oracle": 12,
+                    "semisimple": 20,
+                    "theorem1": 90,
+                },
+            ),
+            (
+                3,
+                (2,),
+                {
+                    "ariki": 7,
+                    "bar-structure": 8,
+                    "bar-triangle": 4,
+                    "canonical-structure": 11,
+                    "derivative": 4,
+                    "det-bridge": 7,
+                    "involution": 7,
+                    "k-stability": 7,
+                    "oracle": 7,
+                    "semisimple": 11,
+                    "theorem1": 7,
+                },
+            ),
+            (
+                0,
+                (5,),
+                {
+                    "bar-structure": 2,
+                    "bar-triangle": 1,
+                    "canonical-structure": 2,
+                    "derivative": 1,
+                    "det-bridge": 1,
+                    "involution": 1,
+                    "k-stability": 1,
+                    "semisimple": 2,
+                    "theorem1": 1,
+                },
+            ),
+        ],
+    )
+    def test_suite_ranges(self, max_m, n_set, counts):
+        # Ranges the default report cannot see: m past every cap, moduli
+        # outside 2..5, and a degree where only the uncapped suites run.
+        results = verify.run_verification(max_m, n_set)
+        assert Counter(r.check for r in results) == counts
+        assert all(r.passed for r in results)
 
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as err:

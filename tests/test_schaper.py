@@ -1,5 +1,9 @@
 """Sum formula, determinant valuation, predictions, and their equivalence."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from fockdec import schaper
@@ -163,3 +167,16 @@ class TestDimensionBridge:
                 for tau in schaper_sum_rhs(lam, n).terms:
                     assert sum(tau) == 6
                     assert dim_specht(tau) >= 1
+
+
+def test_library_sweep_matches_benchmark_digest():
+    # The library-sweep workload checks Theorem 1 for every partition of 11
+    # at n = 2, 3 and hashes both vectors of each report in (n, lambda) order.
+    expected = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    rows = []
+    for n in (2, 3):
+        for lam in sorted(partitions_of(11)):
+            report = theorem1_check(lam, n)
+            rows.append([n, list(lam), report.sum_formula.to_json(), report.prediction.to_json()])
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == json.loads(expected.read_text())["full"]["sweep"]
