@@ -19,6 +19,8 @@ from fockdec.laurent import LaurentPoly, add_into, add_product, add_scaled
 from fockdec.matrices import PartitionMatrix
 from fockdec.partitions import (
     Partition,
+    check_degree,
+    check_modulus,
     check_partition,
     format_partition,
     partitions_of,
@@ -78,11 +80,7 @@ def decomposition_matrix(n: int, m: int) -> DecompositionMatrix:
     The matrix depends only on (n, m), so it is built once per pair and the
     same object is returned to every caller; callers must not modify it.
     """
-    if n < 2:
-        raise ValueError("modulus n must be >= 2")
-    if m < 0:
-        raise ValueError("degree m must be >= 0")
-    return _decomposition_matrix(n, m)
+    return _decomposition_matrix(check_modulus(n), check_degree(m))
 
 
 # Bounded like `fock._bar_matrix`, whose matrices these are solved from.

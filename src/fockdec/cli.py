@@ -14,7 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from fockdec import __version__, canonical, schaper, verify
+from fockdec import __version__, canonical, partitions, schaper, verify
 from fockdec.fock import BarMatrix, bar_matrix
 from fockdec.hecke import DEFAULT_SIZE_CAP, gram_matrix, gram_rank_at_root
 from fockdec.laurent import cyclotomic_valuation
@@ -96,8 +96,29 @@ def cached_matrix(kind: str, n: int, m: int, cache_dir: Path) -> PartitionMatrix
     if loaded is not None:
         return loaded
     matrix = compute(n, m)
-    cache.store(kind, n, m, matrix)
+    try:
+        cache.store(kind, n, m, matrix)
+    except OSError as exc:
+        path = cache._path(kind, n, m)
+        log.warning("cache entry %s cannot be written, continuing without it: %s", path, exc)
     return matrix
+
+
+def _option(parse):
+    """An argparse type from `parse`, whose ValueError becomes a usage error."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+_MODULUS = _option(lambda text: partitions.check_modulus(int(text)))
+_DEGREE = _option(lambda text: partitions.check_degree(int(text)))
+_PARTITION = _option(parse_partition)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p_matrix = sub.add_parser(command, help=about)
         p_matrix.set_defaults(handler=cmd_matrix)
-        p_matrix.add_argument("--n", type=int, required=True)
-        p_matrix.add_argument("--m", type=int, required=True)
+        p_matrix.add_argument("--n", type=_MODULUS, required=True)
+        p_matrix.add_argument("--m", type=_DEGREE, required=True)
         p_matrix.add_argument("--format", choices=FORMATS, default="text")
         p_matrix.add_argument(
             "--cache-dir",
@@ -134,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
         "schaper", help="sum-formula vector and verdict for one partition"
     )
     p_schaper.set_defaults(handler=cmd_schaper)
-    p_schaper.add_argument("--lambda", dest="lam", required=True)
-    p_schaper.add_argument("--n", type=int, required=True)
+    p_schaper.add_argument("--lambda", dest="lam", type=_PARTITION, required=True)
+    p_schaper.add_argument("--n", type=_MODULUS, required=True)
     p_schaper.add_argument("--format", choices=REPORT_FORMATS, default="text")
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
@@ -157,17 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gram = sub.add_parser("gram", help="Gram determinant report for one partition")
     p_gram.set_defaults(handler=cmd_gram)
-    p_gram.add_argument("--lambda", dest="lam", required=True)
-    p_gram.add_argument("--n", type=int, required=True)
+    p_gram.add_argument("--lambda", dest="lam", type=_PARTITION, required=True)
+    p_gram.add_argument("--n", type=_MODULUS, required=True)
     p_gram.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
     p_gram.add_argument("--format", choices=REPORT_FORMATS, default="text")
 
     return parser
-
-
-def _validate_n(parser, n: int) -> None:
-    if n < 2:
-        parser.error(f"--n must be at least 2, got {n}")
 
 
 def _cache_dir(args) -> Path:
@@ -175,26 +191,18 @@ def _cache_dir(args) -> Path:
 
 
 def cmd_matrix(parser, args) -> int:
-    _validate_n(parser, args.n)
-    if args.m < 0:
-        parser.error(f"--m must be non-negative, got {args.m}")
     matrix = cached_matrix(args.command, args.n, args.m, _cache_dir(args))
     sys.stdout.write(matrix.render(args.format))
     return 0
 
 
 def cmd_schaper(parser, args) -> int:
-    _validate_n(parser, args.n)
-    try:
-        lam = parse_partition(args.lam)
-    except ValueError as exc:
-        parser.error(str(exc))
-    report = schaper.theorem1_check(lam, args.n)
+    report = schaper.theorem1_check(args.lam, args.n)
     vector = report.sum_formula
-    valuation = schaper.schaper_det_rhs(lam, args.n)
+    valuation = schaper.schaper_det_rhs(args.lam, args.n)
     if args.format == "json":
         payload = {
-            "lambda": format_partition(lam),
+            "lambda": format_partition(args.lam),
             "n": args.n,
             "sum_formula": vector.to_json(),
             "det_valuation": valuation,
@@ -202,7 +210,7 @@ def cmd_schaper(parser, args) -> int:
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(f"lambda = ({format_partition(lam)}), n = {args.n}")
+        print(f"lambda = ({format_partition(args.lam)}), n = {args.n}")
         print(f"sum formula vector : {vector!r}")
         print(f"det valuation      : nu = {valuation}")
         print(f"theorem1           : {'PASS' if report.passed else 'FAIL'}")
@@ -235,21 +243,16 @@ def cmd_verify(parser, args) -> int:
 
 
 def cmd_gram(parser, args) -> int:
-    _validate_n(parser, args.n)
     try:
-        lam = parse_partition(args.lam)
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        gram = gram_matrix(lam, args.size_cap)
+        gram = gram_matrix(args.lam, args.size_cap)
     except ValueError as exc:
         parser.error(str(exc))
     det = gram.determinant()
     valuation = cyclotomic_valuation(det, args.n) if not det.is_zero() else None
-    rank = gram_rank_at_root(lam, args.n, args.size_cap)
+    rank = gram_rank_at_root(args.lam, args.n, args.size_cap)
     if args.format == "json":
         payload = {
-            "lambda": format_partition(lam),
+            "lambda": format_partition(args.lam),
             "n": args.n,
             "determinant": str(det),
             "nu": valuation,
@@ -258,7 +261,7 @@ def cmd_gram(parser, args) -> int:
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(f"lambda = ({format_partition(lam)}), n = {args.n}")
+        print(f"lambda = ({format_partition(args.lam)}), n = {args.n}")
         print(f"gram dimension : {len(gram.tableaux)}")
         print(f"determinant    : {det}")
         print(f"nu(det)        : {valuation}")

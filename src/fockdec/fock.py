@@ -16,6 +16,8 @@ from fockdec.laurent import Combination, LaurentPoly, add_into
 from fockdec.matrices import PartitionMatrix
 from fockdec.partitions import (
     Partition,
+    check_degree,
+    check_modulus,
     check_partition,
     format_partition,
     partitions_of,
@@ -90,8 +92,7 @@ def straighten(head, n: int) -> FockVector:
     (memoized insertions cost nothing); past it StepBudgetExceeded is raised.
     """
     head = tuple(head)
-    if n < 2:
-        raise ValueError("modulus n must be >= 2")
+    check_modulus(n)
     k = len(head)
     if any(e <= -k for e in head):
         raise ValueError(f"head {head} has entries reaching the implicit tail")
@@ -124,8 +125,7 @@ def bar_partition(mu: Partition, n: int, k: int | None = None) -> FockVector:
         k = max(m, len(mu))
     if k < m or k < len(mu):
         raise ValueError(f"truncation k={k} too small for {mu}")
-    if n < 2:
-        raise ValueError("modulus n must be >= 2")
+    check_modulus(n)
     head = wedge_from_partition(mu, k)
     alpha = _alpha_statistic(head, n)
     sign = -1 if (k * (k - 1) // 2) % 2 else 1
@@ -192,11 +192,7 @@ def bar_matrix(n: int, m: int) -> BarMatrix:
     same object is returned to every caller; callers must not modify it.
     Its multi-term entries are logged at INFO level when it is built.
     """
-    if n < 2:
-        raise ValueError("modulus n must be >= 2")
-    if m < 0:
-        raise ValueError("degree m must be >= 0")
-    return _bar_matrix(n, m)
+    return _bar_matrix(check_modulus(n), check_degree(m))
 
 
 # Bounded so that a long-lived process keeps a few degrees at a time: a

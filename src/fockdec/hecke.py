@@ -53,6 +53,7 @@ from fockdec.laurent import (
 from fockdec.partitions import (
     Partition,
     Tableau,
+    check_modulus,
     check_partition,
     conjugate,
     conjugate_tableau,
@@ -454,8 +455,7 @@ def gram_rank_at_root(lam: Partition, n: int, size_cap: int = DEFAULT_SIZE_CAP) 
     for the pivot p of row top, reduced modulo Phi_n and divided by the gcd
     of its integer coefficients, which keeps them small.
     """
-    if n < 2:
-        raise ValueError("modulus n must be >= 2")
+    check_modulus(n)
     rows = [[cyclotomic_residue(f, n) for f in row] for row in gram_matrix(lam, size_cap).rows]
     rank = 0
     for col in range(len(rows)):

@@ -15,6 +15,8 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
+from fockdec.partitions import check_modulus
+
 
 class LaurentPoly:
     """Immutable Laurent polynomial with integer coefficients.
@@ -325,52 +327,31 @@ class Combination:
         return table
 
 
-_TERM_RE = re.compile(
-    r"^\s*(?P<coeff>[+-]?\d+)?\s*\*?\s*(?P<q>q(\^(?P<exp>-?\d+))?)?\s*$"
-)
+# The render joins terms with " + " and " - "; "^-" inside a term is no joiner.
+_JOINER_RE = re.compile(r" ([+-]) ")
+_TERM_RE = re.compile(r"(-?)(\d*)\*?(q(?:\^(-?\d+))?)?")
 
 
 def parse_poly(text: str) -> LaurentPoly:
-    """Parse the canonical rendering, e.g. 'q^-1 - q + 2*q^3'."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty polynomial string")
-    if text == "0":
-        return LaurentPoly.zero()
+    """Parse exactly what `str(LaurentPoly)` writes, e.g. 'q^-1 - q + 2*q^3'.
+
+    Terms are read leniently, but any text other than the rendering of the
+    result raises ValueError, so a damaged cache entry is never served.
+    """
+    pieces = _JOINER_RE.split(text)
     table: dict[int, int] = {}
-    for sign, body in _iter_terms(text):
-        match = _TERM_RE.match(body)
-        if not match or (match.group("coeff") is None and match.group("q") is None):
+    for joiner, body in zip(["+", *pieces[1::2]], pieces[::2]):
+        match = _TERM_RE.fullmatch(body)
+        if match is None:
             raise ValueError(f"cannot parse polynomial term {body!r} in {text!r}")
-        coeff = int(match.group("coeff")) if match.group("coeff") else 1
-        if match.group("q"):
-            exp = int(match.group("exp")) if match.group("exp") else 1
-        else:
-            exp = 0
-        table[exp] = table.get(exp, 0) + sign * coeff
-    return LaurentPoly(table)
-
-
-def _iter_terms(text: str):
-    """Yield (sign, term_body) pairs; '^-' exponents are not term separators."""
-    i = 0
-    sign = 1
-    if text.startswith("-"):
-        sign = -1
-        i = 1
-    elif text.startswith("+"):
-        i = 1
-    start = i
-    while i < len(text):
-        ch = text[i]
-        if ch in "+-" and text[i - 1] != "^":
-            yield sign, text[start:i].strip()
-            sign = 1 if ch == "+" else -1
-            i += 1
-            start = i
-        else:
-            i += 1
-    yield sign, text[start:].strip()
+        sign, digits, q, exp = match.groups()
+        exp = int(exp) if exp else 1 if q else 0
+        coeff = int(sign + (digits or "1"))
+        table[exp] = table.get(exp, 0) + (-coeff if joiner == "-" else coeff)
+    poly = LaurentPoly(table)
+    if str(poly) != text:
+        raise ValueError(f"{text!r} is not in canonical form, which is {str(poly)!r}")
+    return poly
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -414,8 +395,7 @@ def cyclotomic_valuation(f: LaurentPoly, n: int) -> int:
 
     Undefined (raises) for f = 0.
     """
-    if n < 2:
-        raise ValueError("valuation defined for n >= 2")
+    check_modulus(n)
     if f.is_zero():
         raise ValueError("the zero polynomial has infinite valuation")
     phi = cyclotomic(n)
@@ -446,6 +426,5 @@ def nu_quantum(h: int, n: int) -> int:
     """Multiplicity of Phi_n in the quantum integer [h]: 1 if n | h else 0."""
     if h <= 0:
         raise ValueError("quantum integer defined for h >= 1")
-    if n < 2:
-        raise ValueError("valuation defined for n >= 2")
+    check_modulus(n)
     return 1 if h % n == 0 else 0

@@ -12,7 +12,14 @@ import json
 from functools import cached_property
 
 from fockdec.laurent import LaurentPoly, parse_poly
-from fockdec.partitions import Partition, dominated_by, format_partition
+from fockdec.partitions import (
+    Partition,
+    check_degree,
+    check_modulus,
+    check_partition,
+    dominated_by,
+    format_partition,
+)
 
 _ZERO = LaurentPoly.zero()
 
@@ -149,12 +156,10 @@ class PartitionMatrix:
         """The matrix that `to_jsonable` wrote; ValueError on any other input."""
         if not isinstance(data, dict) or not {"n", "m", "order", "entries"} <= data.keys():
             raise ValueError("a matrix is an object with keys n, m, order and entries")
-        n, m, grid = data["n"], data["m"], data["entries"]
-        if not (isinstance(n, int) and isinstance(m, int)):
-            raise ValueError("matrix n and m must be integers")
+        n, m, grid = check_modulus(data["n"]), check_degree(data["m"]), data["entries"]
         if not (_lists_of(data["order"], int) and _lists_of(grid, str)):
             raise ValueError("matrix order must hold lists of parts, entries lists of strings")
-        order = [tuple(lam) for lam in data["order"]]
+        order = [check_partition(lam) for lam in data["order"]]
         if len(grid) != len(order) or any(len(row) != len(order) for row in grid):
             raise ValueError("matrix shape does not match the partition order")
         columns = {mu: {} for mu in order}

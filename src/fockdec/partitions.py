@@ -24,6 +24,20 @@ def check_partition(parts) -> Partition:
     return parts
 
 
+def check_modulus(n) -> int:
+    """Validate and return a modulus: an int, not a bool, that is at least 2."""
+    if type(n) is not int or n < 2:
+        raise ValueError(f"modulus n must be an integer at least 2, got {n!r}")
+    return n
+
+
+def check_degree(m) -> int:
+    """Validate and return a degree: an int, not a bool, that is at least 0."""
+    if type(m) is not int or m < 0:
+        raise ValueError(f"degree m must be an integer at least 0, got {m!r}")
+    return m
+
+
 def format_partition(lam: Partition) -> str:
     """Serialize as comma-separated parts, the empty partition as ''."""
     return ",".join(str(p) for p in lam)
@@ -40,15 +54,15 @@ def parse_partition(text: str) -> Partition:
     return check_partition(parts)
 
 
-@lru_cache(maxsize=None)
+# Typed, so that True is not served the entry of 1 without being checked.
+@lru_cache(maxsize=None, typed=True)
 def partitions_of(m: int) -> tuple[Partition, ...]:
     """All partitions of m in reverse lexicographic order.
 
     This total order refines dominance with larger-in-dominance first:
     partitions_of(4) = ((4,), (3,1), (2,2), (2,1,1), (1,1,1,1)).
     """
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    check_degree(m)
 
     def gen(remaining, max_part):
         if remaining == 0:
@@ -168,8 +182,7 @@ def is_regular(lam: Partition, n: int) -> bool:
     lam must be a partition; it is not checked, since regularity filters
     every row a Theorem-1 check reads.
     """
-    if n < 2:
-        raise ValueError("regularity requires n >= 2")
+    check_modulus(n)
     run = 0
     prev = None
     for p in lam:

@@ -21,6 +21,7 @@ from fockdec.fock import bar_matrix
 from fockdec.laurent import Combination, add_into, nu_quantum
 from fockdec.partitions import (
     Partition,
+    check_modulus,
     check_partition,
     d_symbol,
     dim_specht,
@@ -98,8 +99,7 @@ def _sum_formula_terms(lam: Partition, n: int):
 
 def schaper_sum_rhs(lam: Partition, n: int) -> GrothendieckVector:
     """The sum-formula right-hand side as a virtual Specht-basis vector."""
-    if n < 2:
-        raise ValueError("modulus n must be >= 2")
+    check_modulus(n)
     coords: dict[Partition, int] = {}
     for weight, betas in _sum_formula_terms(lam, n):
         recovered = partition_from_betas(betas)
@@ -115,8 +115,7 @@ def schaper_det_rhs(lam: Partition, n: int) -> int:
     Identical to schaper_sum_rhs with each class replaced by its signed
     generic dimension.
     """
-    if n < 2:
-        raise ValueError("modulus n must be >= 2")
+    check_modulus(n)
     return sum(weight * d_symbol(betas) for weight, betas in _sum_formula_terms(lam, n))
 
 

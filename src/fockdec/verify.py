@@ -17,6 +17,7 @@ from fockdec.fock import FockVector, bar_matrix, bar_partition, bar_vector
 from fockdec.hecke import gram_det_valuation, gram_rank_at_root
 from fockdec.laurent import LaurentPoly
 from fockdec.partitions import (
+    check_modulus,
     dim_specht,
     format_partition,
     partitions_of,
@@ -210,8 +211,8 @@ def check_arguments(max_m: int, n_set: tuple[int, ...], suites: tuple[str, ...])
         raise ValueError("suites is empty; name at least one suite")
     if not n_set:
         raise ValueError("n_set is empty; name at least one modulus")
-    if any(n < 2 for n in n_set):
-        raise ValueError(f"every modulus in n_set must be at least 2, got {n_set}")
+    for n in n_set:
+        check_modulus(n)
     if max_m < 0:
         raise ValueError(f"max_m must be non-negative, got {max_m}")
     for suite in suites:
@@ -226,7 +227,8 @@ def run_verification(
 ) -> list[CheckResult]:
     check_arguments(max_m, n_set, suites)
     chosen = [name for name in SUITES if name in suites and name != "semisimple"]
-    results = _walk([(n, m) for n in n_set for m in range(max_m + 1)], chosen)
+    # Each modulus once, in first-seen order, as a repeated suite runs once.
+    results = _walk([(n, m) for n in dict.fromkeys(n_set) for m in range(max_m + 1)], chosen)
     if "semisimple" in suites:
         # The one suite whose moduli do not come from n_set: its rule picks
         # n = m+1..m+3 out of every modulus up to max_m + 3.

@@ -170,6 +170,9 @@ class TestVerify:
         with pytest.raises(ValueError, match="n_set is empty"):
             verify.run_verification(2, ())
 
+    def test_repeated_modulus_runs_once(self):
+        assert verify.run_verification(2, (2, 2)) == verify.run_verification(2, (2,))
+
     def test_library_rejects_bad_ranges(self):
         with pytest.raises(ValueError, match="max_m must be non-negative"):
             verify.run_verification(-1, (2,))
@@ -369,27 +372,14 @@ class TestCache:
         matrix = cached_matrix("decomp", 2, 2, tmp_path)
         assert matrix == decomposition_matrix(2, 2)
 
-    def test_invalid_entry_warned_and_recomputed(self, capsys, caplog, tmp_path):
-        argv = ["decomp", "--n", "2", "--m", "3", "--format", "csv", "--cache-dir", str(tmp_path)]
+    @staticmethod
+    def assert_each_warned_and_recomputed(argv, path, payloads, capsys, caplog):
+        """Each payload, written over the entry `argv` stores at `path`, is
+        logged once at WARNING and replaced by the entry a fresh run writes."""
         code, computed = run(argv, capsys)
         assert code == 0
-        path = tmp_path / "decomp-n2-m3.json"
         good = path.read_text()
-        # An entry that fails validate(), then valid JSON of the wrong shape:
-        # not an object, a non-list order, an integer grid, and a label that
-        # is not a partition, which validate() alone lets through.
-        failing = json.loads(good)
-        order = failing["matrix"]["order"]
-        failing["matrix"]["entries"][order.index([2, 1])][order.index([3])] = "q^-5"
-        relabelled = json.loads(good)
-        relabelled["matrix"]["order"][order.index([2, 1])] = [1, 2]
-        wrong_shapes = [
-            [],
-            {"schema": "fockdec-1", "matrix": {"n": 2, "m": 3, "order": 5, "entries": []}},
-            {**failing, "matrix": {**failing["matrix"], "entries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}},
-            relabelled,
-        ]
-        for payload in [failing, *wrong_shapes]:
+        for payload in payloads(good):
             path.write_text(json.dumps(payload))
             caplog.clear()
             with caplog.at_level("WARNING", logger="fockdec.cli"):
@@ -399,6 +389,59 @@ class TestCache:
             assert [record.levelname for record in caplog.records] == ["WARNING"]
             assert str(path) in caplog.records[0].getMessage()
             assert path.read_text() == good
+
+    def test_invalid_entry_warned_and_recomputed(self, capsys, caplog, tmp_path):
+        # An entry that fails validate(), then valid JSON of the wrong shape:
+        # not an object, a non-list order, an integer grid, labels that are
+        # not partitions, which validate() alone lets through, and an entry
+        # that names the right polynomial in non-canonical text.
+        def payloads(good):
+            failing = json.loads(good)
+            order = failing["matrix"]["order"]
+            failing["matrix"]["entries"][order.index([2, 1])][order.index([3])] = "q^-5"
+            grid = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+            yield failing
+            yield []
+            yield {"schema": "fockdec-1", "matrix": {"n": 2, "m": 3, "order": 5, "entries": []}}
+            yield {**failing, "matrix": {**failing["matrix"], "entries": grid}}
+            for old, new in [([2, 1], [1, 2]), ([1, 1, 1], [True, True, True])]:
+                relabelled = json.loads(good)
+                relabelled["matrix"]["order"][order.index(old)] = new
+                yield relabelled
+            reworded = json.loads(good)
+            row = reworded["matrix"]["entries"][order.index([1, 1, 1])]
+            assert row[order.index([3])] == "q"
+            row[order.index([3])] = "0*q^3 + 1q"
+            yield reworded
+
+        argv = ["decomp", "--n", "2", "--m", "3", "--format", "csv", "--cache-dir", str(tmp_path)]
+        path = tmp_path / "decomp-n2-m3.json"
+        self.assert_each_warned_and_recomputed(argv, path, payloads, capsys, caplog)
+
+    def test_bool_degree_warned_and_recomputed(self, capsys, caplog, tmp_path):
+        # True equals 1, so only a type check tells this entry from a good one.
+        def payloads(good):
+            payload = json.loads(good)
+            payload["matrix"]["m"] = True
+            yield payload
+
+        argv = ["decomp", "--n", "2", "--m", "1", "--format", "json", "--cache-dir", str(tmp_path)]
+        path = tmp_path / "decomp-n2-m1.json"
+        self.assert_each_warned_and_recomputed(argv, path, payloads, capsys, caplog)
+
+    def test_unwritable_cache_warned_and_skipped(self, capsys, caplog, tmp_path):
+        argv = ["decomp", "--n", "2", "--m", "3", "--format", "json", "--cache-dir"]
+        code, computed = run([*argv, str(tmp_path)], capsys)
+        assert code == 0
+        not_a_directory = tmp_path / "file"
+        not_a_directory.write_text("")
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="fockdec.cli"):
+            code, out = run([*argv, str(not_a_directory)], capsys)
+        assert code == 0
+        assert out == computed
+        assert [record.levelname for record in caplog.records] == ["WARNING"]
+        assert str(not_a_directory / "decomp-n2-m3.json") in caplog.records[0].getMessage()
 
     def test_store_leaves_only_final_file(self, tmp_path):
         directory = tmp_path / "cache"

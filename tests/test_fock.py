@@ -207,7 +207,7 @@ class TestBarMatrix:
         assert single_term_form(parse_poly("q^-2 - 1")) == (1, 0, 1)
         assert single_term_form(parse_poly("-q^-1")) == (-1, -1, 0)
         assert single_term_form(parse_poly("-q^-1 + q")) == (-1, 1, 1)
-        assert single_term_form(parse_poly("q + 1")) is None
+        assert single_term_form(parse_poly("1 + q")) is None
         assert single_term_form(LaurentPoly.zero()) is None
 
     def test_diagnostic_scan_runs_at_info(self, monkeypatch, caplog):

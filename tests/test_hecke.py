@@ -565,9 +565,9 @@ class TestResidueField:
         assert gram_rank_at_root((1, 1), 2) == 0
         assert gram_rank_at_root((2,), 2) == 1
 
-    @pytest.mark.parametrize("n", [1, 0, -2])
+    @pytest.mark.parametrize("n", [1, 0, -2, 2.0])
     def test_modulus_below_two_rejected(self, n):
-        with pytest.raises(ValueError, match="at least 2|>= 2"):
+        with pytest.raises(ValueError, match="at least 2"):
             gram_rank_at_root((2, 1), n)
 
     def test_rank_zero_iff_singular(self):

@@ -178,6 +178,12 @@ class TestRendering:
         with pytest.raises(ValueError):
             parse_poly("q+*2")
 
+    @pytest.mark.parametrize("text", ["q + q", "1q", " 1 ", "q^1", "- q", "q + 1"])
+    def test_parse_rejects_non_canonical_text(self, text):
+        # Each names a polynomial, but not in the form str() writes.
+        with pytest.raises(ValueError):
+            parse_poly(text)
+
 
 class TestSparsePrimitives:
     def test_add_into_int_cancels_and_scales(self):

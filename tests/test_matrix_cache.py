@@ -12,8 +12,8 @@ from fockdec import canonical, fock, matrices
 from fockdec.canonical import decomposition_matrix
 from fockdec.errors import ConventionError
 from fockdec.fock import BarMatrix, bar_matrix
-from fockdec.laurent import LaurentPoly
-from fockdec.partitions import partitions_of
+from fockdec.laurent import LaurentPoly, cyclotomic_valuation
+from fockdec.partitions import is_regular, partitions_of
 from fockdec.schaper import theorem1_check
 from fockdec.verify import run_verification
 
@@ -62,6 +62,39 @@ def test_theorem1_sweep_indexes_each_matrix_once(monkeypatch):
             assert theorem1_check(lam, n).passed
     # One index for A and one for D at each n, however many rows are read.
     assert indexed == [8] * 4
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: bar_matrix(2.0, 4), "at least 2"),
+        (lambda: decomposition_matrix(2, True), "at least 0"),
+        (lambda: theorem1_check((2, 1), 2.5), "at least 2"),
+        (lambda: cyclotomic_valuation(LaurentPoly({0: 1, 1: 1}), 2.0), "at least 2"),
+        (lambda: is_regular((1,), True), "at least 2"),
+        (lambda: partitions_of(True), "at least 0"),
+    ],
+    ids=[
+        "bar_matrix",
+        "decomposition_matrix",
+        "theorem1_check",
+        "cyclotomic_valuation",
+        "is_regular",
+        "partitions_of",
+    ],
+)
+def test_bad_modulus_or_degree_rejected_before_the_caches(call, message):
+    # A float or bool equals an int key of the shared caches, so it must be
+    # rejected before it can fill one or be served from one.
+    def sizes():
+        builders = (fock._bar_matrix, canonical._decomposition_matrix)
+        return [builder.cache_info().currsize for builder in builders]
+
+    decomposition_matrix(2, 1)
+    before = sizes()
+    with pytest.raises(ValueError, match=message):
+        call()
+    assert sizes() == before
 
 
 def test_explicit_amat_is_solved_from():

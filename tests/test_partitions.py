@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fockdec.partitions import (
+    check_degree,
+    check_modulus,
     check_partition,
     conjugate,
     conjugate_tableau,
@@ -265,6 +267,24 @@ class TestRegularity:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             is_regular((2, 1), 1)
+
+
+class TestInputChecks:
+    def test_valid_values_returned(self):
+        assert check_modulus(2) == 2
+        assert check_modulus(7) == 7
+        assert check_degree(0) == 0
+        assert check_degree(5) == 5
+
+    @pytest.mark.parametrize("n", [1, 0, -3, True, 2.0, "2", None])
+    def test_bad_modulus(self, n):
+        with pytest.raises(ValueError, match="at least 2"):
+            check_modulus(n)
+
+    @pytest.mark.parametrize("m", [-1, True, False, 1.0, "1", None])
+    def test_bad_degree(self, m):
+        with pytest.raises(ValueError, match="at least 0"):
+            check_degree(m)
 
 
 class TestConjugate:
