@@ -18,14 +18,13 @@ from fockdec import __version__, canonical, partitions, schaper, verify
 from fockdec.fock import BarMatrix, bar_matrix
 from fockdec.hecke import DEFAULT_SIZE_CAP, gram_matrix, gram_rank_at_root
 from fockdec.laurent import cyclotomic_valuation
-from fockdec.matrices import PartitionMatrix
+from fockdec.matrices import FORMATS, PartitionMatrix
 from fockdec.partitions import format_partition, parse_partition, partitions_of
 
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = "fockdec-1"
 
-FORMATS = ("text", "json", "csv", "latex")
 REPORT_FORMATS = ("text", "json")
 
 
@@ -131,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument(
-        "-v", "--verbose", action="store_true", help="log diagnostics at INFO level to stderr"
+        "-v", "--verbose", action="store_true", help="log at INFO level to stderr"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -8,7 +8,6 @@ i_k = lambda_k - k + 1.
 
 from __future__ import annotations
 
-import logging
 from functools import lru_cache
 
 from fockdec import kernel
@@ -22,8 +21,6 @@ from fockdec.partitions import (
     format_partition,
     partitions_of,
 )
-
-log = logging.getLogger(__name__)
 
 
 def wedge_from_partition(lam: Partition, k: int) -> tuple[int, ...]:
@@ -140,6 +137,7 @@ def bar_vector(v: FockVector, n: int) -> FockVector:
     degree of v, which `bar_matrix` builds if it is not cached; the zero
     vector builds nothing.
     """
+    check_modulus(n)
     table: dict = {}
     if v.terms:
         columns = bar_matrix(n, v.space).columns
@@ -159,38 +157,11 @@ class BarMatrix(PartitionMatrix):
         )
 
 
-def single_term_form(poly: LaurentPoly) -> tuple[int, int, int] | None:
-    """Match a polynomial against +-q^k * (q^(-2) - 1)^i.
-
-    Returns (sign, k, i) on success and None otherwise.  Off-diagonal bar
-    matrix entries are sums of such terms; single-term entries are the common
-    case (the q-power exponent comes out of either sign in practice) and the
-    genuinely multi-term ones are logged at INFO level by `_bar_matrix` when
-    it builds a matrix.
-    """
-    if poly.is_zero():
-        return None
-    step = LaurentPoly({-2: 1, 0: -1})
-    count = 0
-    current = poly
-    while not current.is_monomial():
-        try:
-            current = current.exact_div(step)
-        except ValueError:
-            return None
-        count += 1
-    exp, coeff = next(iter(current.items()))
-    if abs(coeff) != 1:
-        return None
-    return coeff, exp, count
-
-
 def bar_matrix(n: int, m: int) -> BarMatrix:
     """Bar-involution transition matrix on degree m, columns indexed by tau.
 
     The matrix depends only on (n, m), so it is built once per pair and the
     same object is returned to every caller; callers must not modify it.
-    Its multi-term entries are logged at INFO level when it is built.
     """
     return _bar_matrix(check_modulus(n), check_degree(m))
 
@@ -201,23 +172,4 @@ def bar_matrix(n: int, m: int) -> BarMatrix:
 def _bar_matrix(n: int, m: int) -> BarMatrix:
     order = partitions_of(m)
     columns = {tau: bar_partition(tau, n).terms for tau in order}
-    matrix = BarMatrix(n=n, m=m, order=order, columns=columns)
-    # The scan costs more than the assembly of a warm matrix; skip it unless
-    # its messages will be shown.
-    if log.isEnabledFor(logging.INFO):
-        multi_term = [
-            (lam, tau, entry)
-            for tau, column in columns.items()
-            for lam, entry in column.items()
-            if lam != tau and single_term_form(entry) is None
-        ]
-        for lam, tau, entry in matrix.row_major(multi_term):
-            log.info(
-                "bar matrix entry (%s, %s) at n=%d is not a single "
-                "+-q^-j (q^-2 - 1)^i term: %s",
-                format_partition(lam),
-                format_partition(tau),
-                n,
-                entry,
-            )
-    return matrix
+    return BarMatrix(n=n, m=m, order=order, columns=columns)

@@ -435,9 +435,9 @@ def bareiss_determinant(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     return det if sign > 0 else -det
 
 
-def gram_det_valuation(lam: Partition, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> int:
+def gram_det_valuation(lam: Partition, n: int) -> int:
     """Multiplicity of Phi_n in the exact Gram determinant."""
-    det = gram_matrix(lam, size_cap).determinant()
+    det = gram_matrix(lam).determinant()
     if det.is_zero():
         raise ZeroGramDeterminant(f"Gram determinant of {lam} vanished identically")
     return cyclotomic_valuation(det, n)

@@ -74,9 +74,6 @@ class LaurentPoly:
         """True iff the polynomial lies in q.Z[q] (all exponents >= 1)."""
         return all(e >= 1 for e in self._c)
 
-    def is_monomial(self) -> bool:
-        return len(self._c) == 1
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):

@@ -1,9 +1,9 @@
 """Square Laurent-polynomial matrices indexed by the partitions of one degree.
 
 Shared container for the bar-involution and decomposition matrices, with the
-three export formats (JSON, CSV, LaTeX) and bit-exact round-tripping.  A
-matrix is stored as the nonzero entries of each column; this module alone
-lays them out as a dense grid, and only to render them.
+render formats of `FORMATS` (text, JSON, CSV, LaTeX) and bit-exact
+round-tripping.  A matrix is stored as the nonzero entries of each column;
+this module alone lays them out as a dense grid, and only to render them.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from fockdec.partitions import (
 )
 
 _ZERO = LaurentPoly.zero()
+
+# The formats of `PartitionMatrix.render`, each written by a `to_<format>` method.
+FORMATS = ("text", "json", "csv", "latex")
 
 
 def _lists_of(value, kind) -> bool:
@@ -197,15 +200,12 @@ class PartitionMatrix:
         return "\n".join(lines) + "\n"
 
     def render(self, fmt: str) -> str:
+        """The matrix in one of `FORMATS`, ending in a newline."""
+        if fmt not in FORMATS:
+            raise ValueError(f"unknown format {fmt!r}")
         if fmt == "json":
             return self.to_json(indent=2) + "\n"
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "latex":
-            return self.to_latex()
-        if fmt == "text":
-            return self.to_text()
-        raise ValueError(f"unknown format {fmt!r}")
+        return getattr(self, f"to_{fmt}")()
 
     def to_text(self) -> str:
         labels = [format_partition(lam) or "-" for lam in self.order]

@@ -161,6 +161,7 @@ def gabber_joseph_rhs(lam: Partition, n: int) -> GrothendieckVector:
 
 def specht_to_simple(vector: GrothendieckVector, n: int) -> GrothendieckVector:
     """Change of basis via the q = 1 decomposition numbers."""
+    check_modulus(n)
     if vector.space != SPECHT:
         raise ValueError("change of basis defined on Specht-basis vectors")
     sizes = {sum(lam) for lam in vector.terms}

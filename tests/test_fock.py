@@ -5,11 +5,9 @@ two rewrite rules; everything else is property-based (involution,
 truncation stability, triangularity, closure of generated indices).
 """
 
-import logging
-
 import pytest
 
-from fockdec import fock, kernel
+from fockdec import kernel
 from fockdec.errors import StepBudgetExceeded
 from fockdec.fock import (
     FockVector,
@@ -17,7 +15,6 @@ from fockdec.fock import (
     bar_partition,
     bar_vector,
     partition_from_wedge,
-    single_term_form,
     straighten,
     wedge_from_partition,
 )
@@ -41,18 +38,6 @@ def betas_from_wedge(head: tuple[int, ...]) -> tuple[int, ...]:
 
 def vec(*pairs):
     return FockVector({lam: parse_poly(text) for text, lam in pairs})
-
-
-def count_single_term_form(monkeypatch) -> list:
-    calls = []
-    real = fock.single_term_form
-
-    def counting(poly):
-        calls.append(poly)
-        return real(poly)
-
-    monkeypatch.setattr(fock, "single_term_form", counting)
-    return calls
 
 
 class TestWedgeWords:
@@ -202,33 +187,6 @@ class TestBarMatrix:
                         assert entry.derivative_at_one() % 2 == 0
                         if not entry.is_zero() and lam != tau:
                             assert dominated_by(lam, tau)
-
-    def test_single_term_form(self):
-        assert single_term_form(parse_poly("q^-2 - 1")) == (1, 0, 1)
-        assert single_term_form(parse_poly("-q^-1")) == (-1, -1, 0)
-        assert single_term_form(parse_poly("-q^-1 + q")) == (-1, 1, 1)
-        assert single_term_form(parse_poly("1 + q")) is None
-        assert single_term_form(LaurentPoly.zero()) is None
-
-    def test_diagnostic_scan_runs_at_info(self, monkeypatch, caplog):
-        # The second call is served from the matrix cache and logs nothing.
-        calls = count_single_term_form(monkeypatch)
-        caplog.set_level(logging.INFO, logger="fockdec.fock")
-        fock._bar_matrix.cache_clear()
-        bar_matrix(2, 6)
-        bar_matrix(2, 6)
-        logged = [r.getMessage() for r in caplog.records if "not a single" in r.getMessage()]
-        assert len(logged) == 1
-        assert "(2,2,1,1, 4,2)" in logged[0]
-        assert calls
-
-    def test_diagnostic_scan_skipped_at_warning(self, monkeypatch, caplog):
-        calls = count_single_term_form(monkeypatch)
-        caplog.set_level(logging.WARNING, logger="fockdec.fock")
-        bar_matrix(2, 6)
-        bar_matrix(2, 6)
-        assert calls == []
-        assert caplog.records == []
 
     def test_columns_match_bar_partition(self):
         for n in (2, 3):

@@ -11,10 +11,10 @@ import pytest
 from fockdec import canonical, fock, matrices
 from fockdec.canonical import decomposition_matrix
 from fockdec.errors import ConventionError
-from fockdec.fock import BarMatrix, bar_matrix
+from fockdec.fock import BarMatrix, FockVector, bar_matrix, bar_vector
 from fockdec.laurent import LaurentPoly, cyclotomic_valuation
 from fockdec.partitions import is_regular, partitions_of
-from fockdec.schaper import theorem1_check
+from fockdec.schaper import SPECHT, GrothendieckVector, specht_to_simple, theorem1_check
 from fockdec.verify import run_verification
 
 
@@ -73,6 +73,9 @@ def test_theorem1_sweep_indexes_each_matrix_once(monkeypatch):
         (lambda: cyclotomic_valuation(LaurentPoly({0: 1, 1: 1}), 2.0), "at least 2"),
         (lambda: is_regular((1,), True), "at least 2"),
         (lambda: partitions_of(True), "at least 0"),
+        (lambda: bar_vector(FockVector(), 1), "at least 2"),
+        (lambda: bar_vector(FockVector(), 2.5), "at least 2"),
+        (lambda: specht_to_simple(GrothendieckVector(SPECHT, {}), 1), "at least 2"),
     ],
     ids=[
         "bar_matrix",
@@ -81,6 +84,9 @@ def test_theorem1_sweep_indexes_each_matrix_once(monkeypatch):
         "cyclotomic_valuation",
         "is_regular",
         "partitions_of",
+        "bar_vector-zero",
+        "bar_vector-zero-float",
+        "specht_to_simple-zero",
     ],
 )
 def test_bad_modulus_or_degree_rejected_before_the_caches(call, message):

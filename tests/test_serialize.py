@@ -9,7 +9,7 @@ from fockdec.canonical import DecompositionMatrix, decomposition_matrix
 from fockdec.fock import BarMatrix, bar_matrix
 from fockdec.hecke import gram_matrix
 from fockdec.laurent import LaurentPoly, parse_poly
-from fockdec.matrices import PartitionMatrix
+from fockdec.matrices import FORMATS, PartitionMatrix
 from fockdec.partitions import partitions_of
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -90,8 +90,8 @@ def test_text_table_alignment():
 
 def test_render_dispatch():
     matrix = bar_matrix(2, 1)
-    for fmt in ("text", "json", "csv", "latex"):
-        assert matrix.render(fmt)
+    for fmt in FORMATS:
+        assert matrix.render(fmt).endswith("\n")
     with pytest.raises(ValueError):
         matrix.render("yaml")
 
