@@ -10,7 +10,6 @@ violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from fockdec.errors import ConventionError
@@ -22,7 +21,6 @@ from fockdec.partitions import (
     check_degree,
     check_modulus,
     check_partition,
-    format_partition,
     partitions_of,
 )
 
@@ -109,36 +107,12 @@ def canonical_vector(lam: Partition, n: int) -> FockVector:
     return FockVector._make(dmat.m, dmat.column(lam))
 
 
-@dataclass
-class IdentityReport:
-    """Outcome of an entrywise matrix identity check."""
+def gj_identity_check(n: int, m: int) -> list[tuple[Partition, Partition, str, str]]:
+    """Entrywise check of D(q) = A(q) * D(q^-1): the failing cells, row-major.
 
-    name: str
-    n: int
-    m: int
-    failures: list[tuple[Partition, Partition, str, str]]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def describe(self) -> str:
-        if self.passed:
-            return f"{self.name}: PASS (n={self.n}, m={self.m})"
-        lines = [f"{self.name}: FAIL (n={self.n}, m={self.m})"]
-        for lam, mu, lhs, rhs in self.failures:
-            lines.append(
-                f"  ({format_partition(lam)}, {format_partition(mu)}): "
-                f"lhs={lhs} rhs={rhs}"
-            )
-        return "\n".join(lines)
-
-
-def gj_identity_check(n: int, m: int) -> IdentityReport:
-    """Entrywise check of D(q) = A(q) * D(q^-1).
-
-    Column mu of the right side sums column tau of A times bar(D[tau, mu])
-    over the nonzeros of column mu of D.
+    Each failing cell is (lambda, mu, lhs, rhs).  Column mu of the right side
+    sums column tau of A times bar(D[tau, mu]) over the nonzeros of column mu
+    of D.
     """
     amat = bar_matrix(n, m)
     dmat = decomposition_matrix(n, m)
@@ -152,11 +126,11 @@ def gj_identity_check(n: int, m: int) -> IdentityReport:
             right = LaurentPoly(rhs.get(lam))
             if lhs != right:
                 failures.append((lam, mu, str(lhs), str(right)))
-    return IdentityReport("bar-triangle identity", n, m, dmat.row_major(failures))
+    return dmat.row_major(failures)
 
 
-def derivative_identity_check(n: int, m: int) -> IdentityReport:
-    """Integer check of d'(1) = (1/2) A'(1) D(1), entrywise."""
+def derivative_identity_check(n: int, m: int) -> list[tuple[Partition, Partition, str, str]]:
+    """Integer check of d'(1) = (1/2) A'(1) D(1): the failing cells, row-major."""
     amat = bar_matrix(n, m)
     dmat = decomposition_matrix(n, m)
     a_prime = {
@@ -180,4 +154,4 @@ def derivative_identity_check(n: int, m: int) -> IdentityReport:
     if odd:
         lam, mu, total = dmat.row_major(odd)[0]
         raise ConventionError(f"odd derivative sum {total} at ({lam}, {mu}), n={n}")
-    return IdentityReport("derivative identity", n, m, dmat.row_major(failures))
+    return dmat.row_major(failures)
