@@ -10,9 +10,9 @@ from fockdec.canonical import (
     gj_identity_check,
 )
 from fockdec.errors import ConventionError
-from fockdec.fock import BarMatrix, FockVector, bar_matrix
+from fockdec.fock import BarMatrix, FockVector, bar_matrix, bar_vector
 from fockdec.laurent import LaurentPoly
-from fockdec.partitions import partitions_of
+from fockdec.partitions import dominated_by, partitions_of
 
 one = LaurentPoly.one()
 
@@ -33,6 +33,13 @@ class TestCanonicalVector:
             for lam in partitions_of(m):
                 assert canonical_vector(lam, 5) == FockVector.basis(lam)
 
+    def test_bar_invariance(self):
+        for n in (2, 3):
+            for m in range(6):
+                for lam in partitions_of(m):
+                    g = canonical_vector(lam, n)
+                    assert bar_vector(g, n) == g
+
 
 class TestDecompositionMatrix:
     def test_n2_m2(self):
@@ -47,6 +54,20 @@ class TestDecompositionMatrix:
         for a in dmat.order:
             for b in dmat.order:
                 assert dmat.entry(a, b) == (one if a == b else LaurentPoly.zero())
+
+    def test_structure(self):
+        for n in (2, 3):
+            for m in range(7):
+                dmat = decomposition_matrix(n, m)
+                dmat.validate()
+                for mu in dmat.order:
+                    for lam in dmat.order:
+                        entry = dmat.entry(mu, lam)
+                        assert all(e >= 0 for e, _ in entry.items())
+                        assert entry.coeff(0) == (1 if mu == lam else 0)
+                        if not entry.is_zero() and mu != lam:
+                            assert dominated_by(mu, lam)
+                        assert all(c >= 0 for _, c in entry.items())
 
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
@@ -64,11 +85,21 @@ class TestIdentities:
         assert rhs == LaurentPoly({1: 1})
         assert dmat.entry(lam, mu) == rhs
 
+    def test_gj_full_small_range(self):
+        for n in (2, 3, 4, 5):
+            for m in range(6):
+                assert gj_identity_check(n, m) == []
+
     def test_derivative_hand_entry(self):
         amat = bar_matrix(2, 2)
         dmat = decomposition_matrix(2, 2)
         assert dmat.entry((1, 1), (2,)).derivative_at_one() == 1
         assert amat.entry((1, 1), (2,)).derivative_at_one() == 2
+
+    def test_derivative_full_small_range(self):
+        for n in (2, 3, 4, 5):
+            for m in range(6):
+                assert derivative_identity_check(n, m) == []
 
 
 class TestRowMajorFailures:

@@ -19,7 +19,7 @@ from fockdec.fock import (
     wedge_from_partition,
 )
 from fockdec.laurent import LaurentPoly, parse_poly
-from fockdec.partitions import partition_from_betas, partitions_of
+from fockdec.partitions import dominated_by, partition_from_betas, partitions_of
 
 one = LaurentPoly.one()
 
@@ -131,6 +131,19 @@ class TestBarInvolution:
     def test_row_two(self):
         assert bar_partition((2,), 2) == vec(("1", (2,)), ("-q^-1 + q", (1, 1)))
 
+    def test_involution(self):
+        for n in (2, 3, 4, 5):
+            for m in range(7):
+                for lam in partitions_of(m):
+                    assert bar_vector(bar_partition(lam, n), n) == FockVector.basis(lam)
+
+    def test_k_stability(self):
+        for n in (2, 3, 4, 5):
+            for m in range(6):
+                for lam in partitions_of(m):
+                    k = max(m, len(lam))
+                    assert bar_partition(lam, n, k) == bar_partition(lam, n, k + 3)
+
     def test_semilinearity(self):
         q = LaurentPoly({1: 1})
         v = FockVector({(): q})
@@ -162,6 +175,18 @@ class TestBarMatrix:
         amat = bar_matrix(3, 0)
         assert amat.order == ((),)
         assert amat.entry((), ()) == one
+
+    def test_structure_m_up_to_6(self):
+        for n in (2, 3, 4, 5):
+            for m in range(7):
+                amat = bar_matrix(n, m)
+                amat.validate()
+                for lam in amat.order:
+                    for tau in amat.order:
+                        entry = amat.entry(lam, tau)
+                        assert entry.derivative_at_one() % 2 == 0
+                        if not entry.is_zero() and lam != tau:
+                            assert dominated_by(lam, tau)
 
     def test_columns_match_bar_partition(self):
         for n in (2, 3):

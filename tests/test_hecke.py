@@ -31,11 +31,13 @@ from fockdec.laurent import LaurentPoly, add_product, add_scaled
 from fockdec.partitions import (
     conjugate,
     conjugate_tableau,
+    dim_specht,
     is_regular,
     partitions_of,
     standard_tableaux,
 )
 from fockdec.schaper import schaper_det_rhs
+from fockdec.canonical import decomposition_matrix
 
 from itertools import permutations as iter_permutations
 
@@ -300,6 +302,12 @@ class TestGramMatrices:
         assert gram.rows[0][1] == gram.rows[1][0]
         for n in (2, 3):
             assert gram_det_valuation((2, 1), n) == schaper_det_rhs((2, 1), n)
+
+    def test_oracle_equality_m4(self):
+        for m in range(5):
+            for lam in partitions_of(m):
+                for n in (2, 3, 4):
+                    assert gram_det_valuation(lam, n) == schaper_det_rhs(lam, n)
 
     def test_determinant_nonzero_m4(self):
         for m in range(5):
@@ -572,3 +580,15 @@ class TestResidueField:
                         assert rank > 0
                     else:
                         assert rank == 0
+
+    def test_ariki_consistency(self):
+        for n in (2, 3):
+            for m in range(5):
+                dmat = decomposition_matrix(n, m)
+                ranks = {mu: gram_rank_at_root(mu, n) for mu in partitions_of(m)}
+                for lam in partitions_of(m):
+                    total = sum(
+                        dmat.entry(lam, mu).eval_at_one() * ranks[mu]
+                        for mu in partitions_of(m)
+                    )
+                    assert total == dim_specht(lam)

@@ -75,6 +75,14 @@ class TestDeterminantSide:
         assert schaper_det_rhs((1, 1), 2) == 1
         assert schaper_det_rhs((2,), 2) == 0
 
+    def test_matches_dim_weighting(self):
+        for n in (2, 3, 4, 5):
+            for m in range(7):
+                for lam in partitions_of(m):
+                    det = schaper_det_rhs(lam, n)
+                    assert det == dim_weighting(schaper_sum_rhs(lam, n))
+                    assert det >= 0
+
 
 class TestPredictions:
     def test_jantzen_examples(self):
@@ -113,6 +121,13 @@ class TestTheorem1:
         report = theorem1_check((2,), 2)
         assert report.passed
         assert report.sum_formula.is_zero()
+
+    def test_small_range(self):
+        for n in (2, 3, 4, 5):
+            for m in range(7):
+                for lam in partitions_of(m):
+                    report = theorem1_check(lam, n)
+                    assert report.passed, report.describe()
 
     def test_describe_mentions_verdict(self):
         report = theorem1_check((2, 1), 2)
