@@ -13,7 +13,7 @@ from fockdec.canonical import (
     derivative_identity_check,
     gj_identity_check,
 )
-from fockdec.errors import ConventionError, StepBudgetExceeded, ZeroGramDeterminant
+from fockdec.errors import ConventionError, StepBudgetExceeded
 from fockdec.fock import (
     BarMatrix,
     FockVector,
@@ -69,7 +69,6 @@ __all__ = [
     "GrothendieckVector",
     "LaurentPoly",
     "StepBudgetExceeded",
-    "ZeroGramDeterminant",
     "bar_matrix",
     "bar_partition",
     "bar_vector",

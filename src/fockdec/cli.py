@@ -7,11 +7,13 @@ Subcommands: decomp, bar, schaper, verify, gram.  Exit codes: 0 all passed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 from fockdec import __version__, canonical, partitions, schaper, verify
@@ -25,6 +27,9 @@ log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = "fockdec-1"
 
+# The modules whose code decides the entries of a cached matrix.
+ENTRY_MODULES = ("kernel", "fock", "canonical", "laurent", "partitions", "matrices")
+
 REPORT_FORMATS = ("text", "json")
 
 
@@ -35,8 +40,24 @@ def default_cache_dir() -> Path:
     return Path(".fockdec-cache")
 
 
+@functools.cache
+def cache_schema() -> str:
+    """The schema of a cache entry: SCHEMA_VERSION and a CRC-32 of the source
+    files of ENTRY_MODULES, so an entry that other code wrote is recomputed.
+
+    Computed on first use and kept for the life of the process.  A checksum,
+    not hashlib: the key guards against stale code, not against an attacker,
+    and hashlib loads OpenSSL's libcrypto, megabytes of peak RSS in every
+    short `decomp` process.
+    """
+    crc = 0
+    for name in ENTRY_MODULES:
+        crc = zlib.crc32(Path(__file__).with_name(f"{name}.py").read_bytes(), crc)
+    return f"{SCHEMA_VERSION}-{crc:08x}"
+
+
 class MatrixCache:
-    """JSON file cache keyed by (kind, n, m) and the schema version.
+    """JSON file cache keyed by (kind, n, m) and the schema, `cache_schema()`.
 
     `load` serves only an entry of the current schema that parses and passes
     `validate()`.  Any other entry is logged at WARNING with its path and
@@ -57,8 +78,9 @@ class MatrixCache:
             data = json.loads(path.read_text())
             if not isinstance(data, dict):
                 raise ValueError("the file does not hold a JSON object")
-            if data.get("schema") != SCHEMA_VERSION:
-                raise ValueError(f"schema {data.get('schema')!r} is not {SCHEMA_VERSION!r}")
+            schema = cache_schema()
+            if data.get("schema") != schema:
+                raise ValueError(f"schema {data.get('schema')!r} is not {schema!r}")
             matrix = cls.from_jsonable(data.get("matrix"))
             if matrix.n != n or matrix.m != m or matrix.order != partitions_of(m):
                 raise ValueError(f"the entry does not label the partitions of {m} at n={n}")
@@ -71,7 +93,7 @@ class MatrixCache:
     def store(self, kind: str, n: int, m: int, matrix: PartitionMatrix) -> None:
         """Write the entry atomically: a reader sees the old file or the new one."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        payload = {"schema": SCHEMA_VERSION, "matrix": matrix.to_jsonable()}
+        payload = {"schema": cache_schema(), "matrix": matrix.to_jsonable()}
         path = self._path(kind, n, m)
         fd, tmp = tempfile.mkstemp(
             dir=self.directory, prefix=f".{path.name}.", suffix=".tmp"
@@ -139,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("bar", "bar-involution matrix for (n, m)"),
     ):
         p_matrix = sub.add_parser(command, help=about)
-        p_matrix.set_defaults(handler=cmd_matrix)
+        p_matrix.set_defaults(handler=functools.partial(cmd_matrix, p_matrix))
         p_matrix.add_argument("--n", type=_MODULUS, required=True)
         p_matrix.add_argument("--m", type=_DEGREE, required=True)
         p_matrix.add_argument("--format", choices=FORMATS, default="text")
@@ -153,13 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_schaper = sub.add_parser(
         "schaper", help="sum-formula vector and verdict for one partition"
     )
-    p_schaper.set_defaults(handler=cmd_schaper)
+    p_schaper.set_defaults(handler=functools.partial(cmd_schaper, p_schaper))
     p_schaper.add_argument("--lambda", dest="lam", type=_PARTITION, required=True)
     p_schaper.add_argument("--n", type=_MODULUS, required=True)
     p_schaper.add_argument("--format", choices=REPORT_FORMATS, default="text")
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
-    p_verify.set_defaults(handler=cmd_verify)
+    p_verify.set_defaults(handler=functools.partial(cmd_verify, p_verify))
     p_verify.add_argument("--max-m", type=int, default=6)
     p_verify.add_argument("--n-set", default="2,3,4,5")
     p_verify.add_argument(
@@ -176,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_gram = sub.add_parser("gram", help="Gram determinant report for one partition")
-    p_gram.set_defaults(handler=cmd_gram)
+    p_gram.set_defaults(handler=functools.partial(cmd_gram, p_gram))
     p_gram.add_argument("--lambda", dest="lam", type=_PARTITION, required=True)
     p_gram.add_argument("--n", type=_MODULUS, required=True)
     p_gram.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
@@ -223,11 +245,7 @@ def cmd_verify(parser, args) -> int:
         n_set = tuple(int(piece) for piece in args.n_set.split(",") if piece.strip())
     except ValueError:
         parser.error(f"cannot parse --n-set {args.n_set!r}")
-    if not n_set:
-        parser.error(f"--n-set {args.n_set!r} names no modulus")
     suites = tuple(piece.strip() for piece in args.suite.split(",") if piece.strip())
-    if not suites:
-        parser.error(f"--suite {args.suite!r} names no suite")
     try:
         verify.check_arguments(args.max_m, n_set, suites)
     except ValueError as exc:
@@ -247,7 +265,7 @@ def cmd_gram(parser, args) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     det = gram.determinant()
-    valuation = cyclotomic_valuation(det, args.n) if not det.is_zero() else None
+    valuation = cyclotomic_valuation(det, args.n)
     rank = gram_rank_at_root(args.lam, args.n, args.size_cap)
     if args.format == "json":
         payload = {
@@ -273,7 +291,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.verbose:
         logging.basicConfig(level=logging.INFO)
-    return args.handler(parser, args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,3 @@ class ConventionError(RuntimeError):
     change of basis.  These conditions are theorems under the implemented
     conventions, so a failure means the conventions disagree somewhere.
     """
-
-
-class ZeroGramDeterminant(RuntimeError):
-    """The Gram determinant vanished identically (never expected generically)."""

@@ -42,7 +42,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import gcd
 
-from fockdec.errors import ConventionError, ZeroGramDeterminant
+from fockdec.errors import ConventionError
 from fockdec.laurent import (
     LaurentPoly,
     add_product,
@@ -297,9 +297,16 @@ class GramMatrix:
     )
 
     def determinant(self) -> LaurentPoly:
-        """The exact determinant, computed on the first call and kept."""
+        """The exact determinant, computed on the first call and kept.
+
+        The form is nondegenerate over Q(q), so a zero determinant raises
+        ConventionError.
+        """
         if self._determinant is None:
-            self._determinant = bareiss_determinant(self.rows)
+            det = bareiss_determinant(self.rows)
+            if det.is_zero():
+                raise ConventionError(f"Gram determinant of {self.shape} vanished identically")
+            self._determinant = det
         return self._determinant
 
 
@@ -437,10 +444,7 @@ def bareiss_determinant(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
 
 def gram_det_valuation(lam: Partition, n: int) -> int:
     """Multiplicity of Phi_n in the exact Gram determinant."""
-    det = gram_matrix(lam).determinant()
-    if det.is_zero():
-        raise ZeroGramDeterminant(f"Gram determinant of {lam} vanished identically")
-    return cyclotomic_valuation(det, n)
+    return cyclotomic_valuation(gram_matrix(lam).determinant(), n)
 
 
 # -- rank over the residue field ----------------------------------------------

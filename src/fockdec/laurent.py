@@ -25,7 +25,7 @@ class LaurentPoly:
     the zero polynomial.  Exponents and coefficients must be ints (not bools).
     """
 
-    __slots__ = ("_c", "_hash")
+    __slots__ = ("_c",)
 
     def __init__(self, coeffs=None):
         table = {}
@@ -36,7 +36,6 @@ class LaurentPoly:
                 if c:
                     table[e] = c
         self._c = table
-        self._hash = None
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -51,24 +50,11 @@ class LaurentPoly:
     def items(self):
         return self._c.items()
 
-    def coeff(self, exp: int) -> int:
-        return self._c.get(exp, 0)
-
     def is_zero(self) -> bool:
         return not self._c
 
     def is_one(self) -> bool:
         return self._c == {0: 1}
-
-    def min_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self._c)
-
-    def max_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self._c)
 
     def is_q_multiple(self) -> bool:
         """True iff the polynomial lies in q.Z[q] (all exponents >= 1)."""
@@ -102,11 +88,6 @@ class LaurentPoly:
             return self._c == other._c
         return NotImplemented
 
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._c.items()))
-        return self._hash
-
     def __bool__(self):
         return bool(self._c)
 
@@ -139,9 +120,12 @@ class LaurentPoly:
         return _wrap({i + shift: c for i, c in enumerate(quo) if c})
 
     def _as_poly(self) -> tuple[list[int], int]:
-        """Dense coefficient list after clearing the q-power unit, plus the shift."""
-        shift = self.min_exp()
-        degree = self.max_exp() - shift
+        """Dense coefficient list after clearing the q-power unit, plus the shift.
+
+        The polynomial must be nonzero.
+        """
+        shift = min(self._c)
+        degree = max(self._c) - shift
         dense = [0] * (degree + 1)
         for e, c in self._c.items():
             dense[e - shift] = c
@@ -184,7 +168,6 @@ def _wrap(table: dict) -> LaurentPoly:
     """A polynomial on `table` as it stands: it must hold no zero coefficient."""
     poly = LaurentPoly.__new__(LaurentPoly)
     poly._c = table
-    poly._hash = None
     return poly
 
 
@@ -261,16 +244,13 @@ class Combination:
 
     `terms` maps each key to its coefficient and `space` names where the
     keys live: the degree of a FockVector, the basis tag of a
-    GrothendieckVector.  Only combinations of one class over
-    one space can be added, subtracted or equal.  Subclasses check outside
-    input in `__init__`; the arithmetic here builds its results with `_make`,
-    unchecked, the way `_wrap` builds a LaurentPoly.
+    GrothendieckVector.  Only combinations of one class over one space are
+    equal.  Subclasses check outside input in `__init__`; `scale` builds its
+    result with `_make`, unchecked, the way `_wrap` builds a LaurentPoly.
+    Sums of vectors are formed on their `terms` with `add_into`.
     """
 
     __slots__ = ("space", "terms")
-
-    # The coefficient of a key that does not occur.
-    zero_coeff = LaurentPoly()
 
     @classmethod
     def _make(cls, space, terms: dict):
@@ -280,28 +260,8 @@ class Combination:
         out.terms = terms
         return out
 
-    def coeff(self, key):
-        return self.terms.get(tuple(key), self.zero_coeff)
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def _check_space(self, other: "Combination") -> None:
-        if type(other) is not type(self):
-            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        if other.space != self.space:
-            raise ValueError(
-                f"cannot combine {type(self).__name__}s over different spaces: "
-                f"{self.space!r} and {other.space!r}"
-            )
-
-    def __add__(self, other):
-        self._check_space(other)
-        return self._make(self.space, add_into(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        self._check_space(other)
-        return self._make(self.space, add_into(dict(self.terms), other.terms, -1))
 
     def scale(self, factor):
         return self._make(self.space, add_into({}, self.terms, factor))

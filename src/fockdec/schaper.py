@@ -41,8 +41,6 @@ class GrothendieckVector(Combination):
 
     __slots__ = ()
 
-    zero_coeff = 0
-
     def __init__(self, basis: str, terms=None):
         if basis not in (SPECHT, SIMPLE):
             raise ValueError(f"unknown basis tag {basis!r}")

@@ -17,6 +17,7 @@ from fockdec.fock import FockVector, bar_matrix, bar_partition, bar_vector
 from fockdec.hecke import gram_det_valuation, gram_rank_at_root
 from fockdec.laurent import LaurentPoly
 from fockdec.partitions import (
+    check_degree,
     check_modulus,
     dim_specht,
     format_partition,
@@ -213,8 +214,7 @@ def check_arguments(max_m: int, n_set: tuple[int, ...], suites: tuple[str, ...])
         raise ValueError("n_set is empty; name at least one modulus")
     for n in n_set:
         check_modulus(n)
-    if max_m < 0:
-        raise ValueError(f"max_m must be non-negative, got {max_m}")
+    check_degree(max_m)
     for suite in suites:
         if suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r}; choose from {ALL_SUITES}")

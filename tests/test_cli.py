@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import fockdec
-from fockdec.cli import REPORT_FORMATS, MatrixCache, cached_matrix, main
-from fockdec.canonical import DecompositionMatrix, decomposition_matrix
+from fockdec.cli import REPORT_FORMATS, MatrixCache, cache_schema, cached_matrix, main
+from fockdec.canonical import decomposition_matrix
 from fockdec.fock import BarMatrix, bar_matrix
-from fockdec import canonical, hecke, schaper, verify
+from fockdec import canonical, cli, hecke, schaper, verify
 
 BENCHMARK_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
@@ -162,7 +162,9 @@ class TestVerify:
         assert err.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{option} {value!r} names no" in captured.err
+        assert captured.err.startswith("usage: fockdec verify")
+        empty = {"--suite": "suites", "--n-set": "n_set"}[option]
+        assert f"fockdec verify: error: {empty} is empty" in captured.err
 
     def test_library_rejects_empty_suites_and_n_set(self):
         with pytest.raises(ValueError, match="suites is empty"):
@@ -174,8 +176,9 @@ class TestVerify:
         assert verify.run_verification(2, (2, 2)) == verify.run_verification(2, (2,))
 
     def test_library_rejects_bad_ranges(self):
-        with pytest.raises(ValueError, match="max_m must be non-negative"):
-            verify.run_verification(-1, (2,))
+        for max_m in (-1, True, 1.5):
+            with pytest.raises(ValueError, match="degree m must be an integer at least 0"):
+                verify.run_verification(max_m, (2,), ("theorem1",))
         with pytest.raises(ValueError, match="at least 2"):
             verify.run_verification(2, (1,), ("ariki",))
         with pytest.raises(ValueError, match="at least 2"):
@@ -184,7 +187,12 @@ class TestVerify:
     @pytest.mark.parametrize(
         "option,value,message",
         [
-            ("--max-m", "-1", "max_m must be non-negative"),
+            pytest.param(
+                "--max-m",
+                "-1",
+                "degree m must be an integer at least 0, got -1",
+                id="--max-m--1-max_m must be non-negative",
+            ),
             ("--n-set", "2,1", "at least 2"),
             ("--suite", "involution,nonsense", "unknown suite 'nonsense'"),
         ],
@@ -195,6 +203,7 @@ class TestVerify:
         assert err.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith("usage: fockdec verify")
         assert message in captured.err
 
     def test_suite_fault_is_not_a_usage_error(self, capsys, monkeypatch):
@@ -330,6 +339,22 @@ class TestGram:
         with pytest.raises(SystemExit) as err:
             main(["gram", "--lambda", "4,2", "--n", "2"])
         assert err.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fockdec gram")
+        assert "fockdec gram: error: |(4, 2)| = 6 exceeds the size cap 5" in err
+
+    def test_zero_determinant_is_a_convention_error(self, capsys, monkeypatch):
+        # The form is nondegenerate over Q(q): a vanished determinant is a
+        # fault of the program, reported as such, never printed as a value.
+        monkeypatch.setattr(
+            hecke, "_gram_matrix", lru_cache(maxsize=None)(hecke._gram_matrix.__wrapped__)
+        )
+        monkeypatch.setattr(hecke, "bareiss_determinant", lambda rows: fockdec.LaurentPoly())
+        with pytest.raises(fockdec.ConventionError, match=r"\(2, 1\) vanished identically"):
+            hecke.gram_det_valuation((2, 1), 2)
+        with pytest.raises(fockdec.ConventionError, match=r"\(2, 1\) vanished identically"):
+            main(["gram", "--lambda", "2,1", "--n", "2", "--format", "json"])
+        assert capsys.readouterr().out == ""
 
     def test_builds_matrix_once(self, capsys, monkeypatch):
         # Determinant and rank at the root read the same matrix.
@@ -366,6 +391,22 @@ class TestCache:
         assert json.loads(path.read_text())["schema"] != "ancient"
         assert matrix.entry((1, 1), (2,)) is not None
 
+    def test_schema_follows_the_entry_source(self, monkeypatch, tmp_path):
+        # A changed byte in any module that decides the entries changes the
+        # schema, so the entries that the old code wrote are recomputed.
+        package = Path(cli.__file__).parent
+        for name in cli.ENTRY_MODULES:
+            (tmp_path / f"{name}.py").write_bytes((package / f"{name}.py").read_bytes())
+        monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))
+        assert cli.cache_schema.__wrapped__() == cache_schema()
+        assert cache_schema().startswith(cli.SCHEMA_VERSION + "-")
+        for name in cli.ENTRY_MODULES:
+            path = tmp_path / f"{name}.py"
+            source = path.read_bytes()
+            path.write_bytes(source + b"\n")
+            assert cli.cache_schema.__wrapped__() != cache_schema()
+            path.write_bytes(source)
+
     def test_corrupt_file_recomputed(self, tmp_path):
         path = tmp_path / "decomp-n2-m2.json"
         path.write_text("{not json")
@@ -392,9 +433,11 @@ class TestCache:
 
     def test_invalid_entry_warned_and_recomputed(self, capsys, caplog, tmp_path):
         # An entry that fails validate(), then valid JSON of the wrong shape:
-        # not an object, a non-list order, an integer grid, labels that are
-        # not partitions, which validate() alone lets through, and an entry
-        # that names the right polynomial in non-canonical text.
+        # not an object, a non-list order, the good entry under the old
+        # schema "fockdec-1", which no code hash follows, an integer grid,
+        # labels that are not partitions, which validate() alone lets
+        # through, and an entry that names the right polynomial in
+        # non-canonical text.
         def payloads(good):
             failing = json.loads(good)
             order = failing["matrix"]["order"]
@@ -402,7 +445,8 @@ class TestCache:
             grid = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
             yield failing
             yield []
-            yield {"schema": "fockdec-1", "matrix": {"n": 2, "m": 3, "order": 5, "entries": []}}
+            yield {"schema": cache_schema(), "matrix": {"n": 2, "m": 3, "order": 5, "entries": []}}
+            yield {**json.loads(good), "schema": "fockdec-1"}
             yield {**failing, "matrix": {**failing["matrix"], "entries": grid}}
             for old, new in [([2, 1], [1, 2]), ([1, 1, 1], [True, True, True])]:
                 relabelled = json.loads(good)

