@@ -12,8 +12,8 @@ class StepBudgetExceeded(RuntimeError):
 class ConventionError(RuntimeError):
     """An internal consistency requirement failed.
 
-    Examples: a bar-matrix row with odd derivative at 1, a non-antisymmetric
-    residual in the canonical-basis solve, a non-unit pivot in the cellular
-    change of basis.  These conditions are theorems under the implemented
-    conventions, so a failure means the conventions disagree somewhere.
+    Examples: an odd entry of A'(1), a non-antisymmetric residual in the
+    canonical-basis solve, a non-unit pivot in the cellular change of basis.
+    These conditions are theorems under the implemented conventions, so a
+    failure means the conventions disagree somewhere.
     """

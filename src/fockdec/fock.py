@@ -8,9 +8,10 @@ i_k = lambda_k - k + 1.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from fockdec import kernel
+from fockdec.errors import ConventionError
 from fockdec.laurent import Combination, LaurentPoly, add_into
 from fockdec.matrices import PartitionMatrix
 from fockdec.partitions import (
@@ -155,6 +156,28 @@ class BarMatrix(PartitionMatrix):
             lambda entry: entry.eval_at_one() == 0,
             "entry at {row}, {col} nonzero at q=1: {entry}",
         )
+
+    @cached_property
+    def half_derivative(self) -> dict[Partition, dict[Partition, int]]:
+        """Rows of A'(1)/2 as {row: {column: nonzero int}}, for every row label.
+
+        Built on first access and kept with the matrix, like the row index;
+        read-only.  ConventionError names the first odd entry of A'(1) in
+        row-major order.
+        """
+        half = {lam: {} for lam in self.order}
+        odd = []
+        for tau, column in self.columns.items():
+            for lam, entry in column.items():
+                value = entry.derivative_at_one()
+                if value % 2:
+                    odd.append((lam, tau, value))
+                elif value:
+                    half[lam][tau] = value // 2
+        if odd:
+            lam, tau, value = self.row_major(odd)[0]
+            raise ConventionError(f"odd entry {value} of A'(1) at ({lam}, {tau}), n={self.n}")
+        return half
 
 
 def bar_matrix(n: int, m: int) -> BarMatrix:

@@ -6,9 +6,9 @@ the derivative of the decomposition matrix at q = 1; `theorem1_check`
 verifies the two agree, both in the Specht basis and, via the q = 1
 decomposition numbers, in the simple basis.
 
-Once A and D are built, the rows a check reads come from each matrix's row
-index (`PartitionMatrix.row`), so a row costs its nonzeros rather than a
-scan of every column.
+Once A and D are built, the rows a check reads come from A's
+`BarMatrix.half_derivative` and D's row index (`PartitionMatrix.row`), each
+built once per matrix, so a row costs its nonzeros, not a column scan.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from fockdec.canonical import decomposition_matrix
-from fockdec.errors import ConventionError
 from fockdec.fock import bar_matrix
 from fockdec.laurent import Combination, add_into, nu_quantum
 from fockdec.partitions import (
@@ -143,18 +142,8 @@ def jantzen_prediction(lam: Partition, n: int) -> GrothendieckVector:
 def gabber_joseph_rhs(lam: Partition, n: int) -> GrothendieckVector:
     """Half the derivative at 1 of row lam of the bar matrix, over Specht classes."""
     lam = check_partition(lam)
-    amat = bar_matrix(n, sum(lam))
-    coords = {}
-    for tau, entry in amat.row(lam).items():
-        value = entry.derivative_at_one()
-        if value == 0:
-            continue
-        if value % 2 != 0:
-            raise ConventionError(
-                f"bar matrix derivative at ({lam}, {tau}) is odd: {value}"
-            )
-        coords[tau] = value // 2
-    return GrothendieckVector._make(SPECHT, coords)
+    half = bar_matrix(n, sum(lam)).half_derivative
+    return GrothendieckVector._make(SPECHT, dict(half[lam]))
 
 
 def specht_to_simple(vector: GrothendieckVector, n: int) -> GrothendieckVector:

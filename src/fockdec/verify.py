@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from fockdec import canonical, schaper
+from fockdec.errors import ConventionError
 from fockdec.fock import FockVector, bar_matrix, bar_partition, bar_vector
 from fockdec.hecke import gram_det_valuation, gram_rank_at_root
 from fockdec.laurent import LaurentPoly
@@ -79,18 +80,12 @@ def _validated(matrix, detail):
 def _bar_structure(n, m):
     amat = bar_matrix(n, m)
     yield _validated(amat, "unitriangular, zero at q=1 off-diagonal")
-    odd = amat.row_major(
-        (lam, tau)
-        for tau, column in amat.columns.items()
-        for lam, entry in column.items()
-        if entry.derivative_at_one() % 2
-    )
-    yield (
-        (m,) if m else (),
-        not odd,
-        f"odd derivative entries: {odd!r}" if odd else "all derivatives even",
-        f"m={m}",
-    )
+    try:
+        amat.half_derivative
+    except ConventionError as exc:
+        yield (m,) if m else (), False, str(exc), f"m={m}"
+    else:
+        yield (m,) if m else (), True, "all derivatives even", f"m={m}"
 
 
 def _canonical_structure(n, m):

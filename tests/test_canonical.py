@@ -1,8 +1,10 @@
 """Canonical basis, decomposition matrix, and the two matrix identities."""
 
+import re
+
 import pytest
 
-from fockdec import canonical
+from fockdec import canonical, schaper, verify
 from fockdec.canonical import (
     canonical_vector,
     decomposition_matrix,
@@ -13,6 +15,7 @@ from fockdec.errors import ConventionError
 from fockdec.fock import BarMatrix, FockVector, bar_matrix, bar_vector
 from fockdec.laurent import LaurentPoly
 from fockdec.partitions import dominated_by, partitions_of
+from fockdec.schaper import gabber_joseph_rhs
 
 one = LaurentPoly.one()
 
@@ -102,6 +105,11 @@ class TestIdentities:
                 assert derivative_identity_check(n, m) == []
 
 
+# The first odd entry of A'(1) in row-major order for
+# `TestRowMajorFailures.perturbed_bar`: its diagonal 1 + q at (2, 1).
+FIRST_ODD = "odd entry 1 of A'(1) at ((2, 1), (2, 1)), n=2"
+
+
 class TestRowMajorFailures:
     """Checks walk the sparse columns but report failures row by row."""
 
@@ -130,5 +138,23 @@ class TestRowMajorFailures:
         cells = [(lam, mu) for lam, mu, _, _ in gj_identity_check(2, 3)]
         assert len(cells) >= 2
         assert cells == sorted(cells, key=lambda c: (position[c[0]], position[c[1]]))
-        with pytest.raises(ConventionError, match=r"odd derivative sum .* at \(\(2, 1\), "):
+        with pytest.raises(ConventionError, match=re.escape(FIRST_ODD)):
             derivative_identity_check(2, 3)
+
+    def test_half_derivative_names_first_odd_entry_in_row_major_order(self):
+        # Column-major, the first odd entry of A'(1) is at ((1,1,1), (3)).
+        with pytest.raises(ConventionError) as raised:
+            self.perturbed_bar().half_derivative
+        assert str(raised.value) == FIRST_ODD
+
+    def test_readers_report_the_half_derivative_message(self, monkeypatch):
+        decomposition_matrix(2, 3)
+        perturbed = self.perturbed_bar()
+        for module in (canonical, schaper, verify):
+            monkeypatch.setattr(module, "bar_matrix", lambda n, m: perturbed)
+        for reader in (lambda: gabber_joseph_rhs((3,), 2), lambda: derivative_identity_check(2, 3)):
+            with pytest.raises(ConventionError) as raised:
+                reader()
+            assert str(raised.value) == FIRST_ODD
+        cases, _ = verify.SUITES["bar-structure"]
+        assert list(cases(2, 3))[1] == ((3,), False, FIRST_ODD, "m=3")

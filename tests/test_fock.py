@@ -188,6 +188,19 @@ class TestBarMatrix:
                         if not entry.is_zero() and lam != tau:
                             assert dominated_by(lam, tau)
 
+    @pytest.mark.parametrize("n,m", [(2, 7), (3, 8), (4, 8), (5, 9)])
+    def test_half_derivative_is_half_of_a_prime(self, n, m):
+        # A convention slip can pass at n = 2 and show only from n = 3 on.
+        amat = bar_matrix(n, m)
+        half = amat.half_derivative
+        assert tuple(half) == amat.order
+        for lam, row in half.items():
+            assert 0 not in row.values()
+            assert list(row) == [tau for tau in amat.order if tau in row]
+            for tau in amat.order:
+                assert row.get(tau, 0) == amat.entry(lam, tau).derivative_at_one() // 2
+        assert amat.half_derivative is half
+
     def test_columns_match_bar_partition(self):
         for n in (2, 3):
             for m in (3, 4):

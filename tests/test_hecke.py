@@ -323,6 +323,27 @@ class TestGramMatrices:
         assert murphy_table.cache_info() == tables
         gram_matrix((2, 1), size_cap=3)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: gram_matrix((2, 1), 3.5),
+            lambda: gram_matrix((1,), True),
+            lambda: gram_rank_at_root((2, 1), 2, 3.5),
+            lambda: gram_rank_at_root((1,), 2, True),
+        ],
+        ids=["gram_matrix-float", "gram_matrix-bool", "gram_rank-float", "gram_rank-bool"],
+    )
+    def test_bad_size_cap_rejected_before_the_caches(self, call):
+        # A float or bool cap compares like an int, so it must be rejected
+        # before it can build, cache or hit a matrix; True would act as 1.
+        def sizes():
+            return [hecke._gram_matrix.cache_info(), murphy_table.cache_info()]
+
+        before = sizes()
+        with pytest.raises(ValueError, match="at least 0"):
+            call()
+        assert sizes() == before
+
     def test_shared_matrix_unchanged_by_readers(self):
         for lam in [(2, 1), (2, 2), (2, 1, 1), (3, 2)]:
             gram = gram_matrix(lam)

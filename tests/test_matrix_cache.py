@@ -4,7 +4,7 @@ Every call shares one matrix per (n, m); readers never change a shared
 matrix.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import pytest
 
@@ -46,6 +46,19 @@ def test_theorem1_sweep_builds_once_per_degree(monkeypatch):
     assert decomps == [(2, 8), (3, 8)]
 
 
+def counting_property(monkeypatch, cls, name, built: list) -> None:
+    """Swap in a cached property that records ("Class.name", n, m) on each build."""
+    build = cls.__dict__[name].func
+
+    def counting(matrix):
+        built.append((f"{type(matrix).__name__}.{name}", matrix.n, matrix.m))
+        return build(matrix)
+
+    prop = cached_property(counting)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+
+
 def test_theorem1_sweep_indexes_each_matrix_once(monkeypatch):
     counting_builder(monkeypatch, fock, "_bar_matrix")
     counting_builder(monkeypatch, canonical, "_decomposition_matrix")
@@ -57,11 +70,20 @@ def test_theorem1_sweep_indexes_each_matrix_once(monkeypatch):
         return index_rows(order, columns)
 
     monkeypatch.setattr(matrices, "_index_rows", counting)
+    built = []
+    counting_property(monkeypatch, matrices.PartitionMatrix, "_row_index", built)
+    counting_property(monkeypatch, BarMatrix, "half_derivative", built)
     for n in (2, 3):
         for lam in partitions_of(8):
             assert theorem1_check(lam, n).passed
-    # One index for A and one for D at each n, however many rows are read.
-    assert indexed == [8] * 4
+    # At each n, A'(1)/2 once and one row index, D's, however many rows are
+    # read; A's rows are read only through `half_derivative`.
+    assert built == [
+        (what, n, 8)
+        for n in (2, 3)
+        for what in ("BarMatrix.half_derivative", "DecompositionMatrix._row_index")
+    ]
+    assert indexed == [8] * 2
 
 
 @pytest.mark.parametrize(
@@ -130,4 +152,5 @@ def test_shared_matrices_unchanged_by_readers():
     for (n, m), (amat, dmat) in held.items():
         fresh = fock._bar_matrix.__wrapped__(n, m)
         assert amat == fresh
+        assert amat.half_derivative == fresh.half_derivative
         assert dmat == canonical._solve(fresh)
