@@ -250,7 +250,7 @@ def cmd_verify(parser, args) -> int:
         verify.check_arguments(args.max_m, n_set, suites)
     except ValueError as exc:
         parser.error(str(exc))
-    # A ValueError from a suite is a fault of the program, not of the arguments.
+    # A suite's failures are failing cases (exit 1); its ValueError is a program fault.
     results = verify.run_verification(max_m=args.max_m, n_set=n_set, suites=suites)
     if args.format == "json":
         print(json.dumps([r.to_json() for r in results], indent=2))

@@ -53,7 +53,6 @@ from fockdec.laurent import (
 from fockdec.partitions import (
     Partition,
     Tableau,
-    check_degree,
     check_modulus,
     check_partition,
     conjugate,
@@ -324,11 +323,13 @@ def gram_matrix(lam: Partition, size_cap: int = DEFAULT_SIZE_CAP) -> GramMatrix:
 
     The matrix does not depend on n, so it is built once per lam and the
     same object is returned to every caller; callers must not modify it.
-    The size cap, a degree, is checked before anything is built or cached.
+    The size cap is checked before anything is built or cached.
     """
     lam = check_partition(lam)
     m = sum(lam)
-    if m > check_degree(size_cap):
+    if type(size_cap) is not int or size_cap < 0:
+        raise ValueError(f"size_cap must be an integer at least 0, got {size_cap!r}")
+    if m > size_cap:
         raise ValueError(
             f"|{lam}| = {m} exceeds the size cap {size_cap}; raise size_cap "
             "explicitly if you accept the cost"

@@ -1,11 +1,11 @@
 """Driver for the full verification suite.
 
 Each suite yields one (lambda, passed, lhs, rhs) case at a time for one
-(n, m); the driver turns the cases into CheckResult records and the CLI turns
-those into a human table, a JSON report, and an exit status.  A suite is one
-entry of `SUITES`: its case function and the rule for which (n, m) it runs
-at.  Aggregation is order-independent: results are sorted by (check, n,
-lambda) before rendering.
+(n, m); the driver turns the cases, and a failure a suite raises, into
+CheckResult records and the CLI turns those into a human table, a JSON
+report, and an exit status.  A suite is one entry of `SUITES`: its case
+function and the rule for which (n, m) it runs at.  Aggregation is
+order-independent: results are sorted by (check, n, lambda) before rendering.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from fockdec import canonical, schaper
-from fockdec.errors import ConventionError
+from fockdec.errors import ConventionError, StepBudgetExceeded
 from fockdec.fock import FockVector, bar_matrix, bar_partition, bar_vector
 from fockdec.hecke import gram_det_valuation, gram_rank_at_root
 from fockdec.laurent import LaurentPoly
@@ -68,35 +68,22 @@ def _k_stability(n, m):
         yield lam, small == large, repr(small), repr(large)
 
 
-def _validated(matrix, detail):
-    """The lambda-free case for `matrix.validate()`: `detail`, or the failure."""
-    try:
-        matrix.validate()
-    except AssertionError as exc:
-        return None, False, str(exc), ""
-    return None, True, detail, ""
-
-
 def _bar_structure(n, m):
     amat = bar_matrix(n, m)
-    yield _validated(amat, "unitriangular, zero at q=1 off-diagonal")
-    try:
-        amat.half_derivative
-    except ConventionError as exc:
-        yield (m,) if m else (), False, str(exc), f"m={m}"
-    else:
-        yield (m,) if m else (), True, "all derivatives even", f"m={m}"
+    amat.validate()
+    yield None, True, "unitriangular, zero at q=1 off-diagonal", ""
+    amat.half_derivative  # raises ConventionError at the first odd entry
+    yield (m,) if m else (), True, "all derivatives even", f"m={m}"
 
 
 def _canonical_structure(n, m):
+    # D comes validated; column mu is bar-invariant iff D = A * bar(D) on it.
     dmat = canonical.decomposition_matrix(n, m)
-    yield _validated(dmat, "unitriangular over Z[q], constant term delta")
-    for lam in dmat.order:
-        column = FockVector._make(m, dmat.column(lam))
-        invariant = bar_vector(column, n) == column
-        negative = any(
-            c < 0 for coeff in column.terms.values() for _, c in coeff.items()
-        )
+    yield None, True, "unitriangular over Z[q], constant term delta", ""
+    broken = {mu for _, mu, _, _ in canonical.gj_identity_check(n, m)}
+    for lam, column in dmat.columns.items():
+        invariant = lam not in broken
+        negative = any(c < 0 for coeff in column.values() for _, c in coeff.items())
         yield (
             lam,
             invariant and not negative,
@@ -234,14 +221,23 @@ def run_verification(
 
 
 def _walk(pairs, names) -> list[CheckResult]:
-    # (n, m) outermost: the matrix caches of fock and canonical hold the
-    # matrices of the current (n, m) for every suite that reads them.
+    """Run the suites at each (n, m), outermost so the matrix caches serve all.
+
+    A suite raising AssertionError (a failed `validate()`), ConventionError or
+    StepBudgetExceeded keeps its cases and ends in one failing case: lambda
+    None, lhs the error, rhs "m=<m>".  Other exceptions propagate.  A failed
+    build is not cached, so later suites at that (n, m) repeat it; only a broken run pays.
+    """
     results = []
     for n, m in pairs:
         for name in names:
             cases, runs_at = SUITES[name]
             if runs_at(n, m):
-                results.extend(CheckResult(name, n, *case) for case in cases(n, m))
+                try:
+                    for case in cases(n, m):
+                        results.append(CheckResult(name, n, *case))
+                except (AssertionError, ConventionError, StepBudgetExceeded) as exc:
+                    results.append(CheckResult(name, n, None, False, str(exc), f"m={m}"))
     return results
 
 

@@ -150,11 +150,21 @@ class TestRowMajorFailures:
     def test_readers_report_the_half_derivative_message(self, monkeypatch):
         decomposition_matrix(2, 3)
         perturbed = self.perturbed_bar()
+        with pytest.raises(AssertionError) as invalid:
+            perturbed.validate()
+
+        def patched(n, m):
+            return perturbed if (n, m) == (2, 3) else bar_matrix(n, m)
+
         for module in (canonical, schaper, verify):
-            monkeypatch.setattr(module, "bar_matrix", lambda n, m: perturbed)
+            monkeypatch.setattr(module, "bar_matrix", patched)
         for reader in (lambda: gabber_joseph_rhs((3,), 2), lambda: derivative_identity_check(2, 3)):
             with pytest.raises(ConventionError) as raised:
                 reader()
             assert str(raised.value) == FIRST_ODD
-        cases, _ = verify.SUITES["bar-structure"]
-        assert list(cases(2, 3))[1] == ((3,), False, FIRST_ODD, "m=3")
+        # verify reports each suite's first error as one failing case at m = 3.
+        results = verify.run_verification(3, (2,), ("bar-structure", "derivative"))
+        assert [(r.check, r.lam, r.lhs, r.rhs) for r in results if not r.passed] == [
+            ("bar-structure", None, str(invalid.value), "m=3"),
+            ("derivative", None, FIRST_ODD, "m=3"),
+        ]

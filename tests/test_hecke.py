@@ -340,7 +340,7 @@ class TestGramMatrices:
             return [hecke._gram_matrix.cache_info(), murphy_table.cache_info()]
 
         before = sizes()
-        with pytest.raises(ValueError, match="at least 0"):
+        with pytest.raises(ValueError, match=r"^size_cap must be an integer at least 0, got (3\.5|True)$"):
             call()
         assert sizes() == before
 
