@@ -2,6 +2,10 @@
 
 Subcommands: decomp, bar, schaper, verify, gram.  Exit codes: 0 all passed,
 1 verification failure, 2 usage error.
+
+A handler imports the layers that only it runs, and `logging` is imported
+only to log, so `decomp` and `bar` never load `hecke`, `schaper`, `verify`,
+`dataclasses` or `logging`.
 """
 
 from __future__ import annotations
@@ -9,21 +13,16 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import os
 import sys
 import tempfile
 import zlib
 from pathlib import Path
 
-from fockdec import __version__, canonical, partitions, schaper, verify
+from fockdec import __version__, canonical, partitions
 from fockdec.fock import BarMatrix, bar_matrix
-from fockdec.hecke import DEFAULT_SIZE_CAP, gram_matrix, gram_rank_at_root
-from fockdec.laurent import cyclotomic_valuation
 from fockdec.matrices import FORMATS, PartitionMatrix
 from fockdec.partitions import format_partition, parse_partition, partitions_of
-
-log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = "fockdec-1"
 
@@ -86,7 +85,7 @@ class MatrixCache:
                 raise ValueError(f"the entry does not label the partitions of {m} at n={n}")
             matrix.validate()
         except (OSError, ValueError, AssertionError) as exc:
-            log.warning("cache entry %s is unusable, recomputing it: %s", path, exc)
+            _warn("cache entry %s is unusable, recomputing it: %s", path, exc)
             return None
         return matrix
 
@@ -121,8 +120,16 @@ def cached_matrix(kind: str, n: int, m: int, cache_dir: Path) -> PartitionMatrix
         cache.store(kind, n, m, matrix)
     except OSError as exc:
         path = cache._path(kind, n, m)
-        log.warning("cache entry %s cannot be written, continuing without it: %s", path, exc)
+        _warn("cache entry %s cannot be written, continuing without it: %s", path, exc)
     return matrix
+
+
+def _warn(message: str, *args) -> None:
+    """Log at WARNING on the `fockdec.cli` logger."""
+    import logging
+
+    # Named, not __name__: under `python -m fockdec.cli` that is "__main__".
+    logging.getLogger("fockdec.cli").warning(message, *args)
 
 
 def _option(parse):
@@ -184,11 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=functools.partial(cmd_verify, p_verify))
     p_verify.add_argument("--max-m", type=int, default=6)
     p_verify.add_argument("--n-set", default="2,3,4,5")
-    p_verify.add_argument(
-        "--suite",
-        default=",".join(verify.ALL_SUITES),
-        help="comma-separated suite names (default: all)",
-    )
+    p_verify.add_argument("--suite", help="comma-separated suite names (default: all)")
     p_verify.add_argument("--format", choices=REPORT_FORMATS, default="text")
     p_verify.add_argument(
         "--cache-dir",
@@ -201,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gram.set_defaults(handler=functools.partial(cmd_gram, p_gram))
     p_gram.add_argument("--lambda", dest="lam", type=_PARTITION, required=True)
     p_gram.add_argument("--n", type=_MODULUS, required=True)
-    p_gram.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
+    p_gram.add_argument("--size-cap", type=int)
     p_gram.add_argument("--format", choices=REPORT_FORMATS, default="text")
 
     return parser
@@ -218,6 +221,8 @@ def cmd_matrix(parser, args) -> int:
 
 
 def cmd_schaper(parser, args) -> int:
+    from fockdec import schaper
+
     report = schaper.theorem1_check(args.lam, args.n)
     vector = report.sum_formula
     valuation = schaper.schaper_det_rhs(args.lam, args.n)
@@ -241,11 +246,16 @@ def cmd_schaper(parser, args) -> int:
 
 
 def cmd_verify(parser, args) -> int:
+    from fockdec import verify
+
     try:
         n_set = tuple(int(piece) for piece in args.n_set.split(",") if piece.strip())
     except ValueError:
         parser.error(f"cannot parse --n-set {args.n_set!r}")
-    suites = tuple(piece.strip() for piece in args.suite.split(",") if piece.strip())
+    if args.suite is None:
+        suites = verify.ALL_SUITES
+    else:
+        suites = tuple(piece.strip() for piece in args.suite.split(",") if piece.strip())
     try:
         verify.check_arguments(args.max_m, n_set, suites)
     except ValueError as exc:
@@ -260,13 +270,17 @@ def cmd_verify(parser, args) -> int:
 
 
 def cmd_gram(parser, args) -> int:
+    from fockdec.hecke import DEFAULT_SIZE_CAP, gram_matrix, gram_rank_at_root
+    from fockdec.laurent import cyclotomic_valuation
+
+    size_cap = DEFAULT_SIZE_CAP if args.size_cap is None else args.size_cap
     try:
-        gram = gram_matrix(args.lam, args.size_cap)
+        gram = gram_matrix(args.lam, size_cap)
     except ValueError as exc:
         parser.error(str(exc))
     det = gram.determinant()
     valuation = cyclotomic_valuation(det, args.n)
-    rank = gram_rank_at_root(args.lam, args.n, args.size_cap)
+    rank = gram_rank_at_root(args.lam, args.n, size_cap)
     if args.format == "json":
         payload = {
             "lambda": format_partition(args.lam),
@@ -290,6 +304,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.verbose:
+        import logging
+
         logging.basicConfig(level=logging.INFO)
     return args.handler(args)
 

@@ -275,6 +275,12 @@ class TestVerify:
         assert Counter(r.check for r in results) == counts
         assert all(r.passed for r in results)
 
+    def test_default_suites_are_verify_all_suites(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(verify, "run_verification", lambda **kw: seen.append(kw["suites"]) or [])
+        assert run(["verify", "--format", "json"], capsys) == (0, "[]\n")
+        assert seen == [verify.ALL_SUITES]
+
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "nonsense"])
@@ -342,6 +348,13 @@ class TestGram:
         err = capsys.readouterr().err
         assert err.startswith("usage: fockdec gram")
         assert "fockdec gram: error: |(4, 2)| = 6 exceeds the size cap 5" in err
+
+    def test_default_size_cap_read_at_call_time(self, capsys, monkeypatch):
+        monkeypatch.setattr(hecke, "DEFAULT_SIZE_CAP", 4)
+        with pytest.raises(SystemExit) as err:
+            main(["gram", "--lambda", "4,1", "--n", "2"])
+        assert err.value.code == 2
+        assert "|(4, 1)| = 5 exceeds the size cap 4" in capsys.readouterr().err
 
     def test_zero_determinant_is_a_convention_error(self, capsys, monkeypatch):
         # The form is nondegenerate over Q(q): a vanished determinant is a
@@ -529,6 +542,22 @@ def test_verbose_bar_writes_nothing_to_stderr(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_verbose_warning_names_the_cli_logger(tmp_path):
+    # Under `-m`, a logger named by __name__ would read WARNING:__main__.
+    (tmp_path / "decomp-n2-m3.json").write_text("{}")
+    src = Path(fockdec.__file__).resolve().parents[1]
+    argv = ["-v", "decomp", "--n", "2", "--m", "3", "--cache-dir", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockdec.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.startswith("WARNING:fockdec.cli:cache entry ")
 
 
 def test_import_leaves_fractions_unloaded():
