@@ -13,8 +13,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from fockdec.errors import ConventionError
-from fockdec.fock import BarMatrix, FockVector, bar_matrix
-from fockdec.laurent import LaurentPoly, add_into, add_product, add_scaled
+from fockdec.fock import BarMatrix, FockVector, bar_matrix, bar_vector
+from fockdec.laurent import LaurentPoly, add_into, add_product
 from fockdec.matrices import PartitionMatrix
 from fockdec.partitions import (
     Partition,
@@ -111,19 +111,15 @@ def gj_identity_check(n: int, m: int) -> list[tuple[Partition, Partition, str, s
     """Entrywise check of D(q) = A(q) * D(q^-1): the failing cells, row-major.
 
     Each failing cell is (lambda, mu, lhs, rhs).  Column mu of the right side
-    sums column tau of A times bar(D[tau, mu]) over the nonzeros of column mu
-    of D.
+    is the bar of column mu of D, so the identity says each G(mu) is
+    bar-invariant.
     """
-    amat = bar_matrix(n, m)
     dmat = decomposition_matrix(n, m)
     failures = []
     for mu, d_column in dmat.columns.items():
-        rhs: dict[Partition, dict] = {}
-        for tau, d in d_column.items():
-            add_scaled(rhs, amat.columns[tau], d.bar())
+        rhs = bar_vector(FockVector._make(m, d_column), n).terms
         for lam in d_column.keys() | rhs.keys():
-            lhs = dmat.entry(lam, mu)
-            right = LaurentPoly(rhs.get(lam))
+            lhs, right = dmat.entry(lam, mu), rhs.get(lam, LaurentPoly.zero())
             if lhs != right:
                 failures.append((lam, mu, str(lhs), str(right)))
     return dmat.row_major(failures)

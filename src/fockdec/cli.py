@@ -24,35 +24,28 @@ from fockdec.fock import BarMatrix, bar_matrix
 from fockdec.matrices import FORMATS, PartitionMatrix
 from fockdec.partitions import format_partition, parse_partition, partitions_of
 
-SCHEMA_VERSION = "fockdec-1"
-
-# The modules whose code decides the entries of a cached matrix.
-ENTRY_MODULES = ("kernel", "fock", "canonical", "laurent", "partitions", "matrices")
-
 REPORT_FORMATS = ("text", "json")
-
-
-def default_cache_dir() -> Path:
-    env = os.environ.get("FOCKDEC_CACHE")
-    if env:
-        return Path(env)
-    return Path(".fockdec-cache")
 
 
 @functools.cache
 def cache_schema() -> str:
-    """The schema of a cache entry: SCHEMA_VERSION and a CRC-32 of the source
-    files of ENTRY_MODULES, so an entry that other code wrote is recomputed.
+    """The schema of a cache entry: "fockdec-" and a CRC-32 of every module
+    of the package, so an entry is served only to the code that wrote it.
 
-    Computed on first use and kept for the life of the process.  A checksum,
-    not hashlib: the key guards against stale code, not against an attacker,
+    Computed on first use and kept for the life of the process.  Raises
+    FileNotFoundError when no module source sits beside this file, rather
+    than give every sourceless install one constant key.  A checksum, not
+    hashlib: the key guards against stale code, not against an attacker,
     and hashlib loads OpenSSL's libcrypto, megabytes of peak RSS in every
     short `decomp` process.
     """
+    sources = sorted(Path(__file__).parent.glob("*.py"))
+    if not sources:
+        raise FileNotFoundError(f"no module source beside {__file__}")
     crc = 0
-    for name in ENTRY_MODULES:
-        crc = zlib.crc32(Path(__file__).with_name(f"{name}.py").read_bytes(), crc)
-    return f"{SCHEMA_VERSION}-{crc:08x}"
+    for path in sources:
+        crc = zlib.crc32(path.read_bytes(), crc)
+    return f"fockdec-{crc:08x}"
 
 
 class MatrixCache:
@@ -91,8 +84,8 @@ class MatrixCache:
 
     def store(self, kind: str, n: int, m: int, matrix: PartitionMatrix) -> None:
         """Write the entry atomically: a reader sees the old file or the new one."""
-        self.directory.mkdir(parents=True, exist_ok=True)
         payload = {"schema": cache_schema(), "matrix": matrix.to_jsonable()}
+        self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(kind, n, m)
         fd, tmp = tempfile.mkstemp(
             dir=self.directory, prefix=f".{path.name}.", suffix=".tmp"
@@ -210,12 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cache_dir(args) -> Path:
-    return args.cache_dir if args.cache_dir is not None else default_cache_dir()
-
-
 def cmd_matrix(parser, args) -> int:
-    matrix = cached_matrix(args.command, args.n, args.m, _cache_dir(args))
+    cache_dir = args.cache_dir or Path(os.environ.get("FOCKDEC_CACHE") or ".fockdec-cache")
+    matrix = cached_matrix(args.command, args.n, args.m, cache_dir)
     sys.stdout.write(matrix.render(args.format))
     return 0
 

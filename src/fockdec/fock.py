@@ -27,8 +27,8 @@ from fockdec.partitions import (
 def wedge_from_partition(lam: Partition, k: int) -> tuple[int, ...]:
     """Length-k head of the wedge word of lam: entries lambda_j - j + 1."""
     lam = check_partition(lam)
-    if k < len(lam):
-        raise ValueError(f"k={k} smaller than number of parts of {lam}")
+    if type(k) is not int or k < len(lam):
+        raise ValueError(f"truncation k={k!r} for {lam} is not an int at least {len(lam)}")
     return tuple((lam[j - 1] if j <= len(lam) else 0) - j + 1 for j in range(1, k + 1))
 
 
@@ -92,6 +92,8 @@ def straighten(head, n: int) -> FockVector:
     head = tuple(head)
     check_modulus(n)
     k = len(head)
+    if any(type(e) is not int for e in head):
+        raise ValueError(f"head {head} holds an entry that is not an int")
     if any(e <= -k for e in head):
         raise ValueError(f"head {head} has entries reaching the implicit tail")
     raw = kernel.straighten_raw(head, n)
@@ -115,16 +117,15 @@ def bar_partition(mu: Partition, n: int, k: int | None = None) -> FockVector:
 
     Reverses the first k wedge factors, multiplies by the sign (-1)^(k choose 2)
     and by q to the number of non-congruent index pairs, then normal-orders.
-    The result is independent of the truncation k (k >= max(|mu|, rows)).
+    The result is independent of the truncation k (k >= |mu|).
     """
     mu = check_partition(mu)
     m = sum(mu)
-    if k is None:
-        k = max(m, len(mu))
-    if k < m or k < len(mu):
+    k = m if k is None else k
+    head = wedge_from_partition(mu, k)
+    if k < m:
         raise ValueError(f"truncation k={k} too small for {mu}")
     check_modulus(n)
-    head = wedge_from_partition(mu, k)
     alpha = _alpha_statistic(head, n)
     sign = -1 if (k * (k - 1) // 2) % 2 else 1
     prefactor = LaurentPoly({alpha: sign})

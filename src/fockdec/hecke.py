@@ -365,10 +365,8 @@ def _gram_matrix(lam: Partition) -> GramMatrix:
     m = sum(lam)
     mu = conjugate(lam)
     table = murphy_table(m)
-    mu_tableaux = standard_tableaux(mu)
-    mu_index = {t: i for i, t in enumerate(mu_tableaux)}
-    top = row_reading_tableau(mu)
-    top_key = (mu, mu_index[top], mu_index[top])
+    # `standard_tableaux` sorts by reading word, so the row-reading tableau is first.
+    top_key = (mu, 0, 0)
     lam_tableaux = standard_tableaux(lam)
     perms = [tableau_perm(conjugate_tableau(t)) for t in lam_tableaux]
     # d -> top coefficient of x T_d x, one reduction per double coset.

@@ -62,9 +62,8 @@ def _involution(n, m):
 
 def _k_stability(n, m):
     for lam in partitions_of(m):
-        k = max(m, len(lam))
-        small = bar_partition(lam, n, k)
-        large = bar_partition(lam, n, k + 3)
+        small = bar_partition(lam, n)
+        large = bar_partition(lam, n, m + 3)
         yield lam, small == large, repr(small), repr(large)
 
 

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from fockdec import canonical, schaper, verify
+from fockdec import canonical, fock, schaper, verify
 from fockdec.canonical import (
     canonical_vector,
     decomposition_matrix,
@@ -131,9 +131,11 @@ class TestRowMajorFailures:
 
     def test_identity_failures_in_row_major_order(self, monkeypatch):
         # Solve D from the true A first: were D(2, 3) not cached, the patched
-        # bar_matrix would hand the perturbed A to the triangular solve.
+        # bar_matrix would hand the perturbed A to the triangular solve.  The
+        # GJ check reads A through `fock.bar_vector`, so fock is patched too.
         decomposition_matrix(2, 3)
-        monkeypatch.setattr(canonical, "bar_matrix", lambda n, m: self.perturbed_bar())
+        for module in (canonical, fock):
+            monkeypatch.setattr(module, "bar_matrix", lambda n, m: self.perturbed_bar())
         position = {lam: i for i, lam in enumerate(partitions_of(3))}
         cells = [(lam, mu) for lam, mu, _, _ in gj_identity_check(2, 3)]
         assert len(cells) >= 2

@@ -1,5 +1,6 @@
 """CLI behaviour: formats, exit codes, cache round-trips, a failing check."""
 
+import functools
 import hashlib
 import json
 import os
@@ -405,20 +406,41 @@ class TestCache:
         assert matrix.entry((1, 1), (2,)) is not None
 
     def test_schema_follows_the_entry_source(self, monkeypatch, tmp_path):
-        # A changed byte in any module that decides the entries changes the
-        # schema, so the entries that the old code wrote are recomputed.
+        # A changed byte in any module of the package changes the schema, so
+        # an entry is served only to the code that wrote it.
         package = Path(cli.__file__).parent
-        for name in cli.ENTRY_MODULES:
-            (tmp_path / f"{name}.py").write_bytes((package / f"{name}.py").read_bytes())
+        names = sorted(path.name for path in package.glob("*.py"))
+        assert {"cli.py", "errors.py", "kernel.py", "verify.py"} <= set(names)
+        for name in names:
+            (tmp_path / name).write_bytes((package / name).read_bytes())
         monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))
         assert cli.cache_schema.__wrapped__() == cache_schema()
-        assert cache_schema().startswith(cli.SCHEMA_VERSION + "-")
-        for name in cli.ENTRY_MODULES:
-            path = tmp_path / f"{name}.py"
+        assert cache_schema().startswith("fockdec-")
+        for name in names:
+            path = tmp_path / name
             source = path.read_bytes()
             path.write_bytes(source + b"\n")
-            assert cli.cache_schema.__wrapped__() != cache_schema()
+            assert cli.cache_schema.__wrapped__() != cache_schema(), name
             path.write_bytes(source)
+
+    def test_sourceless_install_warned_and_uncached(self, monkeypatch, caplog, tmp_path):
+        # With no module source to hash, no entry is served or written, and
+        # the matrix is still returned.
+        cached_matrix("decomp", 2, 3, tmp_path)
+        path = tmp_path / "decomp-n2-m3.json"
+        good = path.read_text()
+        monkeypatch.setattr(cli, "__file__", str(tmp_path / "lib" / "cli.py"))
+        monkeypatch.setattr(cli, "cache_schema", functools.cache(cli.cache_schema.__wrapped__))
+        with pytest.raises(FileNotFoundError):
+            cli.cache_schema()
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="fockdec.cli"):
+            assert cached_matrix("decomp", 2, 3, tmp_path) == decomposition_matrix(2, 3)
+        messages = [record.getMessage() for record in caplog.records]
+        assert len(messages) == 2
+        assert "is unusable" in messages[0] and "cannot be written" in messages[1]
+        assert all(str(path) in message for message in messages)
+        assert path.read_text() == good
 
     def test_corrupt_file_recomputed(self, tmp_path):
         path = tmp_path / "decomp-n2-m2.json"
@@ -520,13 +542,20 @@ class TestCache:
         assert [path.name for path in tmp_path.iterdir()] == ["bar-n2-m2.json"]
         assert (tmp_path / "bar-n2-m2.json").read_text() == old
 
-    def test_env_default(self, monkeypatch, tmp_path):
-        from fockdec.cli import default_cache_dir
-
-        monkeypatch.setenv("FOCKDEC_CACHE", str(tmp_path / "envcache"))
-        assert default_cache_dir() == tmp_path / "envcache"
-        monkeypatch.delenv("FOCKDEC_CACHE")
-        assert str(default_cache_dir()) == ".fockdec-cache"
+    def test_env_default(self, monkeypatch, capsys, tmp_path):
+        # $FOCKDEC_CACHE names the directory; unset or empty, ./.fockdec-cache.
+        monkeypatch.chdir(tmp_path)
+        for value, m in (("envcache", 1), (None, 2), ("", 3)):
+            if value is None:
+                monkeypatch.delenv("FOCKDEC_CACHE", raising=False)
+            else:
+                monkeypatch.setenv("FOCKDEC_CACHE", value)
+            assert run(["bar", "--n", "2", "--m", str(m)], capsys)[0] == 0
+        listing = {path.name: sorted(p.name for p in path.iterdir()) for path in tmp_path.iterdir()}
+        assert listing == {
+            "envcache": ["bar-n2-m1.json"],
+            ".fockdec-cache": ["bar-n2-m2.json", "bar-n2-m3.json"],
+        }
 
 
 def test_verbose_bar_writes_nothing_to_stderr(tmp_path):

@@ -50,6 +50,10 @@ class TestWedgeWords:
         with pytest.raises(ValueError):
             wedge_from_partition((2, 1), 1)
 
+    def test_bool_k_rejected(self):
+        with pytest.raises(ValueError, match="truncation k=True"):
+            wedge_from_partition((1,), True)
+
     def test_round_trip(self):
         for m in range(8):
             for lam in partitions_of(m):
@@ -111,6 +115,16 @@ class TestStraighten:
         with pytest.raises(ValueError):
             straighten((1, 0), 1)
 
+    def test_float_entry_rejected(self):
+        # Unchecked, this head straightens to a vector keyed by (0.5,).
+        with pytest.raises(ValueError, match="not an int"):
+            straighten((0.5, -1), 2)
+
+    def test_bool_entry_rejected(self):
+        # Unchecked, True is read as 1.
+        with pytest.raises(ValueError, match="not an int"):
+            straighten((True, 0), 2)
+
     def test_budget_exhaustion(self, monkeypatch):
         # A memoized insertion costs nothing, so start from an empty memo.
         for budget in (2, 0):
@@ -153,6 +167,15 @@ class TestBarInvolution:
     def test_k_too_small(self):
         with pytest.raises(ValueError):
             bar_partition((2, 2), 2, k=1)
+
+    def test_bool_k_rejected(self):
+        with pytest.raises(ValueError, match="truncation k=True"):
+            bar_partition((1,), 2, True)
+
+    def test_float_k_rejected(self):
+        # Unchecked, range() raises TypeError on it.
+        with pytest.raises(ValueError, match="truncation k=2.5"):
+            bar_partition((1,), 2, 2.5)
 
 
 class TestBarMatrix:

@@ -277,6 +277,12 @@ class TestMurphyBasis:
             assert residual and all(residual.values())
             assert all(combo.values())
 
+    def test_row_reading_tableau_comes_first(self):
+        # `_gram_matrix` reads its top Murphy cell at index 0 of standard_tableaux.
+        for m in range(9):
+            for mu in partitions_of(m):
+                assert standard_tableaux(mu)[0] == row_reading_tableau(mu)
+
     def test_tableau_perm_distinguished(self):
         base = row_reading_tableau((3, 1))
         assert tableau_perm(base) == (0, 1, 2, 3)
