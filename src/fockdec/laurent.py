@@ -335,11 +335,11 @@ def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     return quo, num
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cyclotomic(n: int) -> LaurentPoly:
     """The n-th cyclotomic polynomial, via exact division of q^n - 1."""
-    if n < 1:
-        raise ValueError("cyclotomic index must be >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"cyclotomic index n must be an integer at least 1, got {n!r}")
     poly = LaurentPoly({n: 1, 0: -1})
     for d in range(1, n):
         if n % d == 0:
@@ -381,7 +381,7 @@ def cyclotomic_residue(f, n: int) -> dict:
 
 def nu_quantum(h: int, n: int) -> int:
     """Multiplicity of Phi_n in the quantum integer [h]: 1 if n | h else 0."""
-    if h <= 0:
-        raise ValueError("quantum integer defined for h >= 1")
+    if type(h) is not int or h < 1:
+        raise ValueError(f"quantum integer index h must be an integer at least 1, got {h!r}")
     check_modulus(n)
     return 1 if h % n == 0 else 0

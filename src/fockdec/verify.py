@@ -3,9 +3,10 @@
 Each suite yields one (lambda, passed, lhs, rhs) case at a time for one
 (n, m); the driver turns the cases, and a failure a suite raises, into
 CheckResult records and the CLI turns those into a human table, a JSON
-report, and an exit status.  A suite is one entry of `SUITES`: its case
-function and the rule for which (n, m) it runs at.  Aggregation is
-order-independent: results are sorted by (check, n, lambda) before rendering.
+report, and an exit status.  A suite is one row of `SUITES`: its case
+function and the rule for the moduli it runs at in each degree.  One walk
+runs every chosen suite, each (n, m) once.  Aggregation is order-independent:
+results are sorted by (check, n, lambda) before rendering.
 """
 
 from __future__ import annotations
@@ -24,14 +25,6 @@ from fockdec.partitions import (
     format_partition,
     partitions_of,
 )
-
-# Desk-scale Hecke computations get their own, tighter default ranges.
-ORACLE_MAX_M = 5
-ORACLE_N4_MAX_M = 4
-ARIKI_MAX_M = 4
-K_STABILITY_MAX_M = 6
-SEMISIMPLE_MAX_M = 6
-
 
 @dataclass
 class CheckResult:
@@ -55,14 +48,15 @@ class CheckResult:
 
 def _involution(n, m):
     for lam in partitions_of(m):
-        twice = bar_vector(bar_partition(lam, n), n)
         expected = FockVector.basis(lam)
+        twice = bar_vector(bar_vector(expected, n), n)
         yield lam, twice == expected, repr(twice), repr(expected)
 
 
 def _k_stability(n, m):
+    # A's column lam is the bar of lam at k = |lam|.
     for lam in partitions_of(m):
-        small = bar_partition(lam, n)
+        small = bar_vector(FockVector.basis(lam), n)
         large = bar_partition(lam, n, m + 3)
         yield lam, small == large, repr(small), repr(large)
 
@@ -149,39 +143,35 @@ def _ariki(n, m):
         yield lam, total == expected, str(total), str(expected)
 
 
-def _always(n, m):
-    return True
-
-
-# Suite name -> (cases(n, m), runs_at(n, m)), in walk order.  A case function
+# Suite name -> (cases(n, m), moduli(m, n_set)), in run order.  A case function
 # yields (lambda, passed, lhs, rhs); lambda is None for a whole-matrix case.
-# Library functions are looked up when a suite runs, so that a tracer or a
-# test that replaces a module attribute sees every call.
+# The moduli rule names the n a suite runs at in degree m.  Library functions
+# are looked up when a suite runs, so that a tracer or a test that replaces a
+# module attribute sees every call.
 SUITES = {
-    "involution": (_involution, _always),
-    "k-stability": (_k_stability, lambda n, m: m <= K_STABILITY_MAX_M),
-    "bar-structure": (_bar_structure, _always),
-    "canonical-structure": (_canonical_structure, _always),
+    "involution": (_involution, lambda m, n_set: n_set),
+    "k-stability": (_k_stability, lambda m, n_set: n_set if m <= 6 else ()),
+    "bar-structure": (_bar_structure, lambda m, n_set: n_set),
+    "canonical-structure": (_canonical_structure, lambda m, n_set: n_set),
     "bar-triangle": (
         lambda n, m: _identity(canonical.gj_identity_check(n, m), m),
-        _always,
+        lambda m, n_set: n_set,
     ),
     "derivative": (
         lambda n, m: _identity(canonical.derivative_identity_check(n, m), m),
-        _always,
+        lambda m, n_set: n_set,
     ),
-    "theorem1": (_theorem1, _always),
-    "det-bridge": (_det_bridge, _always),
+    "theorem1": (_theorem1, lambda m, n_set: n_set),
+    "det-bridge": (_det_bridge, lambda m, n_set: n_set),
     "semisimple": (
         _semisimple,
-        lambda n, m: m < n <= m + 3 and m <= SEMISIMPLE_MAX_M,
+        lambda m, n_set: range(max(2, m + 1), m + 4) if m <= 6 else (),
     ),
     "oracle": (
         _oracle,
-        lambda n, m: (n in (2, 3) and m <= ORACLE_MAX_M)
-        or (n == 4 and m <= ORACLE_N4_MAX_M),
+        lambda m, n_set: [n for n in n_set if n in (2, 3) and m <= 5 or n == 4 and m <= 4],
     ),
-    "ariki": (_ariki, lambda n, m: n in (2, 3) and m <= ARIKI_MAX_M),
+    "ariki": (_ariki, lambda m, n_set: [n for n in n_set if n in (2, 3) and m <= 4]),
 }
 
 ALL_SUITES = tuple(SUITES)
@@ -206,37 +196,31 @@ def run_verification(
     n_set: tuple[int, ...],
     suites: tuple[str, ...] = ALL_SUITES,
 ) -> list[CheckResult]:
-    check_arguments(max_m, n_set, suites)
-    chosen = [name for name in SUITES if name in suites and name != "semisimple"]
-    # Each modulus once, in first-seen order, as a repeated suite runs once.
-    results = _walk([(n, m) for n in dict.fromkeys(n_set) for m in range(max_m + 1)], chosen)
-    if "semisimple" in suites:
-        # The one suite whose moduli do not come from n_set: its rule picks
-        # n = m+1..m+3 out of every modulus up to max_m + 3.
-        pairs = [(n, m) for m in range(max_m + 1) for n in range(2, max_m + 4)]
-        results += _walk(pairs, ["semisimple"])
-    results.sort(key=lambda r: (r.check, r.n, r.lam if r.lam is not None else ()))
-    return results
+    """Run the chosen suites, walking each (n, m) once in sorted order.
 
-
-def _walk(pairs, names) -> list[CheckResult]:
-    """Run the suites at each (n, m), outermost so the matrix caches serve all.
-
-    A suite raising AssertionError (a failed `validate()`), ConventionError or
-    StepBudgetExceeded keeps its cases and ends in one failing case: lambda
-    None, lhs the error, rhs "m=<m>".  Other exceptions propagate.  A failed
-    build is not cached, so later suites at that (n, m) repeat it; only a broken run pays.
+    Every suite at one (n, m) runs before the next pair, so the matrix caches
+    build A and D once per pair.  A suite raising AssertionError (a failed
+    `validate()`), ConventionError or StepBudgetExceeded keeps its cases and
+    ends in one failing case: lambda None, lhs the error, rhs "m=<m>".  Other
+    exceptions propagate.  A failed build is not cached, so later suites at
+    that (n, m) repeat it; only a broken run pays.
     """
+    check_arguments(max_m, n_set, suites)
+    walk: dict[tuple[int, int], list[str]] = {}
+    for name, (_, moduli) in SUITES.items():
+        if name in suites:
+            for m in range(max_m + 1):
+                for n in set(moduli(m, n_set)):
+                    walk.setdefault((n, m), []).append(name)
     results = []
-    for n, m in pairs:
+    for (n, m), names in sorted(walk.items()):
         for name in names:
-            cases, runs_at = SUITES[name]
-            if runs_at(n, m):
-                try:
-                    for case in cases(n, m):
-                        results.append(CheckResult(name, n, *case))
-                except (AssertionError, ConventionError, StepBudgetExceeded) as exc:
-                    results.append(CheckResult(name, n, None, False, str(exc), f"m={m}"))
+            try:
+                for case in SUITES[name][0](n, m):
+                    results.append(CheckResult(name, n, *case))
+            except (AssertionError, ConventionError, StepBudgetExceeded) as exc:
+                results.append(CheckResult(name, n, None, False, str(exc), f"m={m}"))
+    results.sort(key=lambda r: (r.check, r.n, r.lam if r.lam is not None else ()))
     return results
 
 

@@ -211,8 +211,8 @@ class TestVerify:
         def broken(n, m):
             raise ValueError("internal fault")
 
-        _, runs_at = verify.SUITES["involution"]
-        monkeypatch.setitem(verify.SUITES, "involution", (broken, runs_at))
+        _, moduli = verify.SUITES["involution"]
+        monkeypatch.setitem(verify.SUITES, "involution", (broken, moduli))
         with pytest.raises(ValueError, match="internal fault"):
             main(["verify", "--max-m", "1", "--n-set", "2", "--suite", "involution"])
 

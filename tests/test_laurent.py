@@ -113,6 +113,12 @@ class TestCyclotomic:
         assert cyclotomic(2) == q + 1
         assert cyclotomic(6) == LaurentPoly({2: 1, 1: -1, 0: 1})
 
+    @pytest.mark.parametrize("n", [0, True, 2.0])
+    def test_bad_index_rejected(self, n):
+        cyclotomic(2)  # a cached 2 must not be served for 2.0 or True
+        with pytest.raises(ValueError, match=f"index n must be an integer at least 1, got {n!r}"):
+            cyclotomic(n)
+
     def test_product_over_divisors(self):
         for h in range(1, 41):
             product = LaurentPoly.one()
@@ -135,6 +141,21 @@ class TestValuation:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             cyclotomic_valuation(LaurentPoly.zero(), 2)
+
+    @pytest.mark.parametrize(
+        "h,n,message",
+        [
+            (0, 2, "index h must be an integer at least 1, got 0"),
+            (True, 2, "index h must be an integer at least 1, got True"),
+            (2.0, 2, "index h must be an integer at least 1, got 2.0"),
+            (2, 2.0, "modulus n must be an integer at least 2, got 2.0"),
+            (2, True, "modulus n must be an integer at least 2, got True"),
+        ],
+        ids=["zero-h", "bool-h", "float-h", "float-n", "bool-n"],
+    )
+    def test_nu_quantum_rejects_bad_arguments(self, h, n, message):
+        with pytest.raises(ValueError, match=message):
+            nu_quantum(h, n)
 
     def test_matches_nu_quantum(self):
         for h in range(1, 41):

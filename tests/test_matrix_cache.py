@@ -46,6 +46,17 @@ def test_theorem1_sweep_builds_once_per_degree(monkeypatch):
     assert decomps == [(2, 8), (3, 8)]
 
 
+def test_verify_builds_each_walked_pair_once(monkeypatch):
+    # The default report: n_set at m <= 6, and `semisimple` at n = m+1..m+3.
+    bars = counting_builder(monkeypatch, fock, "_bar_matrix")
+    decomps = counting_builder(monkeypatch, canonical, "_decomposition_matrix")
+    assert all(result.passed for result in run_verification(6, (2, 3, 4, 5)))
+    walked = {(n, m) for n in (2, 3, 4, 5) for m in range(7)}
+    walked |= {(n, m) for m in range(7) for n in range(max(2, m + 1), m + 4)}
+    assert len(walked) == 37
+    assert bars == decomps == sorted(walked)
+
+
 def counting_property(monkeypatch, cls, name, built: list) -> None:
     """Swap in a cached property that records ("Class.name", n, m) on each build."""
     build = cls.__dict__[name].func

@@ -1,4 +1,4 @@
-"""Mutation gate for the `verify` suites, and the one failure boundary in `_walk`.
+"""Mutation gate for the `verify` suites, and the one failure boundary in `run_verification`.
 
 Each mutant is a one-line fault of the source, applied in process by
 monkeypatch wherever the package binds the function it replaces; the matrix
@@ -107,7 +107,7 @@ def _alpha(head, n):
 def _k_sign(mu, n, k=None):
     """Sign (-1)^k for (-1)^(k choose 2)."""
     if k is None:
-        k = max(sum(mu), len(mu))
+        k = sum(mu)
     vector = _BAR_PARTITION(mu, n, k)
     return vector.scale(LaurentPoly({0: -1})) if k * (k + 1) // 2 % 2 else vector
 
@@ -290,7 +290,8 @@ class TestFailureBoundary:
             yield (1,), True, "kept", ""
             raise ConventionError("broken")
 
-        monkeypatch.setitem(verify.SUITES, "involution", (cases, verify._always))
+        _, moduli = verify.SUITES["involution"]
+        monkeypatch.setitem(verify.SUITES, "involution", (cases, moduli))
         results = verify.run_verification(1, (2,), ("involution",))
         assert [(r.lam, r.passed, r.lhs, r.rhs) for r in results] == [
             (None, False, "broken", "m=0"),
@@ -304,6 +305,7 @@ class TestFailureBoundary:
             raise ValueError("a program fault")
             yield
 
-        monkeypatch.setitem(verify.SUITES, "involution", (cases, verify._always))
+        _, moduli = verify.SUITES["involution"]
+        monkeypatch.setitem(verify.SUITES, "involution", (cases, moduli))
         with pytest.raises(ValueError, match="a program fault"):
             verify.run_verification(1, (2,), ("involution",))
