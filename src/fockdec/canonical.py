@@ -10,7 +10,7 @@ violation.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from fockdec.errors import ConventionError
 from fockdec.fock import BarMatrix, FockVector, bar_matrix, bar_vector
@@ -43,6 +43,22 @@ class DecompositionMatrix(PartitionMatrix):
             LaurentPoly.is_q_multiple,
             "off-diagonal entry at {row}, {col} not in q.Z[q]: {entry}",
         )
+
+    @cached_property
+    def gj_failures(self) -> tuple[tuple[Partition, Partition, str, str], ...]:
+        """The failing cells of D(q) = A(q) * D(q^-1), row-major; see `gj_identity_check`.
+
+        Built on first access and kept with the matrix, like
+        `BarMatrix.half_derivative`; an exception is not kept.
+        """
+        failures = []
+        for mu, d_column in self.columns.items():
+            rhs = bar_vector(FockVector._make(self.m, d_column), self.n).terms
+            for lam in d_column.keys() | rhs.keys():
+                lhs, right = self.entry(lam, mu), rhs.get(lam, LaurentPoly.zero())
+                if lhs != right:
+                    failures.append((lam, mu, str(lhs), str(right)))
+        return tuple(self.row_major(failures))
 
 
 def _solve_column(lam: Partition, amat: BarMatrix) -> dict[Partition, LaurentPoly]:
@@ -112,17 +128,9 @@ def gj_identity_check(n: int, m: int) -> list[tuple[Partition, Partition, str, s
 
     Each failing cell is (lambda, mu, lhs, rhs).  Column mu of the right side
     is the bar of column mu of D, so the identity says each G(mu) is
-    bar-invariant.
+    bar-invariant.  Computed once per matrix; each call returns a new list.
     """
-    dmat = decomposition_matrix(n, m)
-    failures = []
-    for mu, d_column in dmat.columns.items():
-        rhs = bar_vector(FockVector._make(m, d_column), n).terms
-        for lam in d_column.keys() | rhs.keys():
-            lhs, right = dmat.entry(lam, mu), rhs.get(lam, LaurentPoly.zero())
-            if lhs != right:
-                failures.append((lam, mu, str(lhs), str(right)))
-    return dmat.row_major(failures)
+    return list(decomposition_matrix(n, m).gj_failures)
 
 
 def derivative_identity_check(n: int, m: int) -> list[tuple[Partition, Partition, str, str]]:

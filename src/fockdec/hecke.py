@@ -1,32 +1,45 @@
 """Iwahori-Hecke algebra of type A over exact Laurent arithmetic.
 
-First-principles oracle for the Gram-determinant valuations: the algebra is
-built on the quadratic relation T_i^2 = (q-1) T_i + q (so T_w T_i = T_{w s_i}
-when the length goes up, and (q-1) T_w + q T_{w s_i} otherwise), cell modules
-come from the cellular basis m_{st} = T_{d(s)*} x_shape T_{d(t)} with x the
-sum of T_w over a row stabilizer, and Gram matrices are extracted by exact
-elimination against that basis; their ranks at a primitive n-th root come
-from a fraction-free elimination on the entries' residues modulo Phi_n.
+First-principles oracle for the Gram-determinant valuations.  The algebra is
+built on the quadratic relation T_i^2 = (q-1) T_i + q, so T_w T_i = T_{w s_i}
+when the length goes up, and (q-1) T_w + q T_{w s_i} otherwise.  Gram
+matrices are read off the permutation module M = x_mu H, and their ranks at
+a primitive n-th root come from a fraction-free elimination on the entries'
+residues modulo Phi_n.
 
-The arithmetic runs on raw tables {perm: {exponent: int}} that never hold an
+Here x = x_mu is the sum of T_v over the row stabilizer S_mu of mu's
+row-reading tableau.  M has the basis x T_d over the distinguished right coset
+representatives d of S_mu, and x T_d is held as the word r of row indices
+with r[p] the row of mu whose block holds d(p); the identity gives the top
+word (0^{mu_1} 1^{mu_2} ...).  T_i acts on a word through its letters
+a = r[i] and b = r[i+1]: as q if a == b, by swapping them if a < b, and as
+(q-1) r + q (r swapped) if a > b.  The form of M is
+<x T_d, x T_e> = delta_de q^{l(e)} (Dipper-James 1986).
+
+With w the distinguished representative of mu's column-reading tableau and
+y the signed sum of (-q)^{-l(v)} T_v over the row stabilizer of mu', the
+element z = x T_w y T_{w^-1} generates the Specht submodule zH of M
+(Dipper-James 1986; Murphy 1995).  The Gram entry of two tableaux s, t is
+<x T_{d(s)}, z x T_{d(t)}>, all products on the right, divided by the top
+coefficient of z: the cell form, with no reduction modulo the more dominant
+two-sided ideal.
+
+The arithmetic runs on raw tables {key: {exponent: int}} that never hold an
 empty coefficient, merged with `laurent.add_product` and `laurent.add_scaled`,
-as in the straightening kernel: multiplication by T_i, by T_w along a reduced
-word of w, by a row sum, and the anti-automorphism *.  Coefficients become
-`LaurentPoly` only in the rows of a `GramMatrix`, the one result the layer
-hands out.  Elimination takes as its lead the term latest in (length,
-one-line word) order, read from a rank table built once per m.
+as in the straightening kernel; a key is a permutation in the algebra and a
+word in M.  Coefficients become `LaurentPoly` only in the rows of a
+`GramMatrix`, the one result the layer hands out.
 
-The row sum x is never enumerated: products with it are formed one row block
+Row sums are never enumerated: products with them are formed one row block
 at a time through the distinguished coset factorisation
 x_{S_k} = x_{S_{k-1}} (1 + T_{k-1} + T_{k-1} T_{k-2} + ... + T_{k-1}...T_1),
-which costs about sum(k^2) generator steps instead of |S_lam| * length.
+which costs about sum(k^2) generator steps instead of |S_lam| * length; the
+signed sum y weights each step by -q^-1.
 
-A Gram entry m_{top,s} m_{t,top} = x T_{d(s)} T_{d(t)}* x is expanded as
-sum_v r_v x T_v x from the product of two T's alone.  Since x T_a = q^{l(a)} x
-for a in the row stabilizer, x T_v x = q^{l(v) - l(d)} x T_d x with d the
-minimal element of the double coset S_mu v S_mu (Dipper-James), so one
-reduction of x T_d x against the Murphy table per double coset gives every
-entry of the matrix.
+`MurphyTable` is the whole-algebra route to the same matrices: the cellular
+basis m_{st} = T_{d(s)*} x T_{d(t)}, echelonized against the natural basis in
+(length, one-line word) order.  It has m! rows, and no production caller; the
+tests compare the two at small m.
 
 Under this quadratic convention the unsigned row-sum cell module of a shape
 is the module labelled by the conjugate shape in the hook-length sum formula
@@ -57,7 +70,6 @@ from fockdec.partitions import (
     check_partition,
     conjugate,
     conjugate_tableau,
-    dominated_by,
     partitions_of,
     standard_tableaux,
 )
@@ -116,6 +128,7 @@ def _term_order(w: Perm):
 _ONE = {0: 1}
 _Q = {1: 1}
 _Q_MINUS_1 = {1: 1, 0: -1}
+_MINUS_Q_INVERSE = {-1: -1}
 
 
 def _right_generator(terms: dict, i: int) -> dict:
@@ -131,19 +144,43 @@ def _right_generator(terms: dict, i: int) -> dict:
     return {w: c for w, c in out.items() if c}
 
 
-def _times_t(terms: dict, v: Perm) -> dict:
+def _word_generator(terms: dict, i: int) -> dict:
+    """terms * T_{s_i} in M = x_mu H, on the coset basis held as row-index words.
+
+    The word of x_mu T_d carries at each position p the row of mu whose block
+    holds d(p); T_i reads the letters a, b at positions i, i+1.
+    """
+    out: dict = {}
+    for r, c in terms.items():
+        a, b = r[i], r[i + 1]
+        if a == b:
+            add_product(out.setdefault(r, {}), c, _Q)
+            continue
+        swapped = r[:i] + (b, a) + r[i + 2 :]
+        if a < b:
+            add_product(out.setdefault(swapped, {}), c, _ONE)
+        else:
+            add_product(out.setdefault(r, {}), c, _Q_MINUS_1)
+            add_product(out.setdefault(swapped, {}), c, _Q)
+    return {r: c for r, c in out.items() if c}
+
+
+def _times_t(terms: dict, v: Perm, generator=_right_generator) -> dict:
     """terms * T_v, one generator at a time along a reduced word of v."""
     for i in reduced_word(v):
-        terms = _right_generator(terms, i)
+        terms = generator(terms, i)
     return terms
 
 
-def _times_row_sum(terms: dict, lam: Partition) -> dict:
-    """terms * x_lam, the row sum of the row-reading tableau.
+def _times_row_sum(
+    terms: dict, lam: Partition, generator=_right_generator, weight: dict = _ONE
+) -> dict:
+    """terms * sum of weight^{l(v)} T_v over the row stabilizer v of lam.
 
     Each row block, and each step k within it, multiplies by the sum of
-    T_d over the distinguished coset representatives d = s_{k-1}...s_j of
-    S_{k-1} in S_k; the row blocks commute.
+    weight^{l(d)} T_d over the distinguished coset representatives
+    d = s_{k-1}...s_j of S_{k-1} in S_k; the row blocks commute.  The weight
+    1 gives the row sum x_lam, and -q^-1 the signed sum y_lam.
     """
     result = terms
     start = 0
@@ -151,9 +188,11 @@ def _times_row_sum(terms: dict, lam: Partition) -> dict:
         for top in range(start + 1, start + part):
             total = add_scaled({}, result, _ONE)
             step = result
+            factor = _ONE
             for i in range(top - 1, start - 1, -1):
-                step = _right_generator(step, i)
-                add_scaled(total, step, _ONE)
+                step = generator(step, i)
+                factor = add_product({}, factor, weight)
+                add_scaled(total, step, factor)
             result = total
         start += part
     return result
@@ -315,10 +354,10 @@ def gram_matrix(lam: Partition, size_cap: int = DEFAULT_SIZE_CAP) -> GramMatrix:
 
     Computed on the conjugate shape (see the module docstring), so the
     determinant valuations line up with the hook-length sum formula for lam
-    itself.  Capped by default at |lam| <= 5: the rank-6 algebra has
-    dimension 720; its Murphy table takes about 2-2.5 s of CPU and its
-    eleven Gram matrices about 0.2 s, against about 0.08 s for the tables
-    and Gram matrices of all ranks up to 5 together (one core of a 2-core
+    itself.  Capped by default at |lam| <= 5.  All Gram matrices with
+    |lam| <= 5 take about 0.006 s of CPU together, those with |lam| = 6 about
+    0.04 s and those with |lam| = 7 about 0.5 s; from |lam| = 7 on, the
+    exact determinant costs far more than the matrix (one core of a 2-core
     shared x86-64 host, CPython 3.11.7).
 
     The matrix does not depend on n, so it is built once per lam and the
@@ -337,81 +376,44 @@ def gram_matrix(lam: Partition, size_cap: int = DEFAULT_SIZE_CAP) -> GramMatrix:
     return _gram_matrix(lam)
 
 
-def _double_coset_min(v: Perm, mu: Partition) -> Perm:
-    """The minimal-length element of the double coset S_mu v S_mu.
-
-    S_mu permutes positions (on the right) and values (on the left) within
-    the consecutive row blocks of mu.  The result keeps how many positions
-    of each block carry values of each block, and hands each block of
-    positions, in order, the least unused values of block 0, then block 1,
-    ...; it thus increases on every position block and its inverse on every
-    value block.
-    """
-    block = [j for j, part in enumerate(mu) for _ in range(part)]
-    counts = [[0] * len(mu) for _ in mu]
-    for position, value in enumerate(v):
-        counts[block[position]][block[value]] += 1
-    next_value = [sum(mu[:k]) for k in range(len(mu))]
-    out: list = []
-    for row in counts:
-        for k, count in enumerate(row):
-            out.extend(range(next_value[k], next_value[k] + count))
-            next_value[k] += count
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _gram_matrix(lam: Partition) -> GramMatrix:
-    m = sum(lam)
     mu = conjugate(lam)
-    table = murphy_table(m)
-    # `standard_tableaux` sorts by reading word, so the row-reading tableau is first.
-    top_key = (mu, 0, 0)
     lam_tableaux = standard_tableaux(lam)
     perms = [tableau_perm(conjugate_tableau(t)) for t in lam_tableaux]
-    # d -> top coefficient of x T_d x, one reduction per double coset.
-    reduced: dict = {}
-
-    def top_coefficient(d: Perm) -> dict:
-        # x T_d x = (T_{d*} x)* x, since x* = x.
-        product = _times_row_sum(_star(_times_row_sum({perm_inverse(d): {0: 1}}, mu)), mu)
-        coords = table._coords(product)
-        for key in coords:
-            shape = key[0]
-            if key == top_key:
-                continue
-            if shape == mu:
-                raise ConventionError(
-                    f"product for {lam} has a stray same-shape component {key}"
-                )
-            if not dominated_by(mu, shape):
-                raise ConventionError(
-                    f"product for {lam} leaks into non-dominating shape {shape}"
-                )
-        return coords.get(top_key, {})
-
-    def entry(s: Perm, t: Perm) -> dict:
-        # m_{top,s} m_{t,top} = x T_{d(s)} T_{d(t)}* x = sum_v r_v x T_v x,
-        # and x T_v x = q^{l(v) - l(d)} x T_d x for d minimal in S_mu v S_mu.
-        value: dict = {}
-        for v, r in _times_t({s: {0: 1}}, perm_inverse(t)).items():
-            d = _double_coset_min(v, mu)
-            if d not in reduced:
-                reduced[d] = top_coefficient(d)
-            shifted = add_product({}, r, {perm_length(v) - perm_length(d): 1})
-            add_product(value, shifted, reduced[d])
-        return value
-
+    top = tuple(row for row, part in enumerate(mu) for _ in range(part))
+    # `standard_tableaux` sorts by reading word, so perms[0] belongs to the
+    # row-reading tableau of lam: w, sending mu's column-reading tableau home.
+    w = perms[0]
+    # z = x T_w y T_{w^-1}, grown from x, the top word.
+    z = _times_t({top: {0: 1}}, w, _word_generator)
+    z = _times_row_sum(z, lam, _word_generator, _MINUS_Q_INVERSE)
+    z = _times_t(z, perm_inverse(w), _word_generator)
+    if top not in z:
+        raise ConventionError(f"the Specht generator of {lam} has a zero top coefficient")
+    scale = LaurentPoly(z[top])
+    zx = _times_row_sum(z, mu, _word_generator)
+    # x T_{d(s)} is the one word top o d(s), since d(s) is distinguished; its
+    # form with itself is q^{l(d(s))}.
+    words = [tuple(top[v] for v in d) for d in perms]
     size = len(perms)
     rows = [[LaurentPoly.zero()] * size for _ in range(size)]
+    for j, d in enumerate(perms):
+        column = _times_t(zx, d, _word_generator)
+        for i, word in enumerate(words):
+            value = add_product({}, column.get(word, {}), {perm_length(perms[i]): 1})
+            try:
+                rows[i][j] = LaurentPoly(value).exact_div(scale)
+            except ValueError:
+                raise ConventionError(
+                    f"Gram entry ({i},{j}) of {lam} is not divisible by {scale}"
+                ) from None
     for i in range(size):
-        for j in range(i, size):
-            value = entry(perms[i], perms[j])
-            if i != j and entry(perms[j], perms[i]) != value:
+        for j in range(i + 1, size):
+            if rows[i][j] != rows[j][i]:
                 raise ConventionError(
                     f"Gram matrix for {lam} is not symmetric at ({i},{j})"
                 )
-            rows[i][j] = rows[j][i] = LaurentPoly(value)
     return GramMatrix(shape=lam, tableaux=lam_tableaux, rows=rows)
 
 

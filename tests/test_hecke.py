@@ -1,5 +1,7 @@
 """Hecke algebra, cellular basis, Gram matrices, residue-field ranks."""
 
+import hashlib
+import json
 import random
 import re
 from functools import lru_cache
@@ -9,12 +11,12 @@ import pytest
 from fockdec import hecke
 from fockdec.errors import ConventionError
 from fockdec.hecke import (
-    _double_coset_min,
     _left_factor,
     _right_generator,
     _star,
     _times_row_sum,
     _times_t,
+    _word_generator,
     bareiss_determinant,
     gram_det_valuation,
     gram_matrix,
@@ -32,6 +34,7 @@ from fockdec.partitions import (
     conjugate,
     conjugate_tableau,
     dim_specht,
+    dominated_by,
     is_regular,
     partitions_of,
     standard_tableaux,
@@ -181,52 +184,64 @@ class TestRowSum:
                 for sample in samples:
                     assert _times_row_sum(sample, lam) == mul(sample, x)
 
-
-def row_stabilizer(mu):
-    """Every permutation that maps each consecutive row block of mu to itself."""
-    perms = [()]
-    start = 0
-    for part in mu:
-        block = range(start, start + part)
-        perms = [w + images for w in perms for images in iter_permutations(block)]
-        start += part
-    return perms
-
-
-def compose(a, b):
-    """a after b, in one-line notation."""
-    return tuple(a[i] for i in b)
-
-
-def coset_minimum(v, mu):
-    """The elements of least length in S_mu v S_mu, by enumeration."""
-    stabilizer = row_stabilizer(mu)
-    coset = {compose(a, compose(v, b)) for a in stabilizer for b in stabilizer}
-    least = min(map(perm_length, coset))
-    return sorted(w for w in coset if perm_length(w) == least)
-
-
-def sandwich(v, mu):
-    """x T_v x for the row sum x of mu."""
-    return _times_row_sum(_star(_times_row_sum(T(perm_inverse(v)), mu)), mu)
-
-
-class TestDoubleCosets:
-    """x T_v x = q^(l(v) - l(d)) x T_d x, d minimal in S_mu v S_mu."""
-
-    def test_representative_is_unique_minimum(self):
+    def test_signed_sum_matches_enumeration(self):
+        # Weight -q^-1 per step gives y = sum of (-q)^(-l(v)) T_v.
         for m in range(5):
-            for mu in partitions_of(m):
-                for v in iter_permutations(range(m)):
-                    assert coset_minimum(v, mu) == [_double_coset_min(v, mu)], (mu, v)
+            for lam in partitions_of(m):
+                x = row_sum_reference(lam)
+                y = {v: {-perm_length(v): (-1) ** perm_length(v)} for v in x}
+                for w in iter_permutations(range(m)):
+                    assert _times_row_sum(T(w), lam, weight={-1: -1}) == mul(T(w), y)
 
-    def test_sandwich_depends_on_double_coset(self):
-        for m in range(5):
-            for mu in partitions_of(m):
-                for v in iter_permutations(range(m)):
-                    d = _double_coset_min(v, mu)
-                    shift = {perm_length(v) - perm_length(d): 1}
-                    assert sandwich(v, mu) == add_scaled({}, sandwich(d, mu), shift), (mu, v)
+
+def coset_words(mu):
+    """Every word with mu_r letters r: the coset basis of the permutation module x_mu H."""
+    top = tuple(r for r, part in enumerate(mu) for _ in range(part))
+    return sorted(set(iter_permutations(top)))
+
+
+def word_form(u, v):
+    """<u, v> on x_mu H, where a word pairs with itself as q^(its inversions)."""
+    total = {}
+    for r, c in u.items():
+        if r in v:
+            add_product(total, add_product({}, c, v[r]), {perm_length(r): 1})
+    return total
+
+
+class TestPermutationModule:
+    """T_i on words: a right module for the quadratic relation, and the form is invariant."""
+
+    SHAPES = [(2, 1, 1), (3, 2), (2, 2, 1)]
+
+    def test_quadratic_and_braid_relations(self):
+        def act(terms, *gens):
+            for i in gens:
+                terms = _word_generator(terms, i)
+            return terms
+
+        for mu in self.SHAPES:
+            m = sum(mu)
+            for r in coset_words(mu):
+                x = T(r)
+                for i in range(m - 1):
+                    once = act(x, i)
+                    assert act(x, i, i) == add_scaled(
+                        add_scaled({}, once, {1: 1, 0: -1}), x, {1: 1}
+                    ), (r, i)
+                    if i + 2 < m:
+                        assert act(x, i, i + 1, i) == act(x, i + 1, i, i + 1), (r, i)
+                    for j in range(i + 2, m - 1):
+                        assert act(x, i, j) == act(x, j, i), (r, i, j)
+
+    def test_form_is_invariant(self):
+        for mu in self.SHAPES:
+            words = coset_words(mu)
+            for i in range(sum(mu) - 1):
+                for r in words:
+                    for s in words:
+                        left = word_form(_word_generator(T(r), i), T(s))
+                        assert left == word_form(T(r), _word_generator(T(s), i)), (r, s, i)
 
 
 class TestMurphyBasis:
@@ -278,7 +293,7 @@ class TestMurphyBasis:
             assert all(combo.values())
 
     def test_row_reading_tableau_comes_first(self):
-        # `_gram_matrix` reads its top Murphy cell at index 0 of standard_tableaux.
+        # `_gram_matrix` takes w from index 0 of standard_tableaux(lam).
         for m in range(9):
             for mu in partitions_of(m):
                 assert standard_tableaux(mu)[0] == row_reading_tableau(mu)
@@ -361,6 +376,34 @@ class TestGramMatrices:
                 assert gram.rows == rows
             assert gram_matrix(lam) is gram
 
+    def test_no_murphy_table_built(self, monkeypatch):
+        monkeypatch.setattr(
+            hecke, "_gram_matrix", lru_cache(maxsize=None)(hecke._gram_matrix.__wrapped__)
+        )
+        tables = murphy_table.cache_info()
+        gram_matrix((3, 1, 1))
+        gram_det_valuation((3, 1, 1), 2)
+        gram_rank_at_root((3, 1, 1), 3)
+        assert hecke._gram_matrix.cache_info().misses == 1
+        assert murphy_table.cache_info() == tables
+
+    # sha256 of the Gram rows of every partition of 0..size_cap, in
+    # partitions_of order, as the Murphy-table elimination computed them.
+    DIGESTS = {
+        5: "c81945591c92bff07f8372e4cc73b0e07d2819fc82bd50611445e8c82d2c5410",
+        6: "38322e0f540f20aa2156ede696c4327da2e9806e5f301da40f185728e9cc6e50",
+    }
+
+    @pytest.mark.parametrize("size_cap", sorted(DIGESTS))
+    def test_pinned_digest(self, size_cap):
+        rows = [
+            [list(lam), [[str(e) for e in row] for row in gram_matrix(lam, size_cap).rows]]
+            for m in range(size_cap + 1)
+            for lam in partitions_of(m)
+        ]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == self.DIGESTS[size_cap]
+
     def test_determinant_computed_once(self, monkeypatch):
         monkeypatch.setattr(
             hecke, "_gram_matrix", lru_cache(maxsize=None)(hecke._gram_matrix.__wrapped__)
@@ -385,10 +428,15 @@ def paired_perms(lam):
 
 
 def reference_gram_rows(lam):
-    """Gram rows with one row-sum product and one elimination per ordered pair."""
+    """Gram rows from the Murphy table, one elimination per ordered pair.
+
+    m_{top,s} m_{t,top} is G[s][t] m_{top,top} modulo cellular elements of
+    strictly more dominant shapes; any other component raises ConventionError.
+    """
     mu = conjugate(lam)
     table = murphy_table(sum(lam))
     top = standard_tableaux(mu).index(row_reading_tableau(mu))
+    top_key = (mu, top, top)
     paired = [conjugate_tableau(t) for t in standard_tableaux(lam)]
     rows = []
     for s in paired:
@@ -397,42 +445,31 @@ def reference_gram_rows(lam):
         row = []
         for t in paired:
             product = _times_row_sum(_times_t(left, perm_inverse(tableau_perm(t))), mu)
-            row.append(LaurentPoly(table._coords(product).get((mu, top, top), {})))
+            coords = table._coords(product)
+            for key in coords:
+                shape = key[0]
+                if key == top_key:
+                    continue
+                if shape == mu:
+                    raise ConventionError(
+                        f"product for {lam} has a stray same-shape component {key}"
+                    )
+                if not dominated_by(mu, shape):
+                    raise ConventionError(
+                        f"product for {lam} leaks into non-dominating shape {shape}"
+                    )
+            row.append(LaurentPoly(coords.get(top_key, {})))
         rows.append(row)
     return rows
 
 
 class TestDoubleCosetPairing:
+    """The permutation-module Gram matrices against the whole-algebra Murphy table."""
+
     def test_matches_per_pair_reference(self):
         for m in range(6):
             for lam in partitions_of(m):
                 assert gram_matrix(lam).rows == reference_gram_rows(lam), lam
-
-    def test_one_reduction_per_double_coset(self, monkeypatch):
-        murphy_table(5)
-        coords = hecke.MurphyTable._coords
-        calls = []
-
-        def counting(table, terms):
-            calls.append(None)
-            return coords(table, terms)
-
-        monkeypatch.setattr(hecke.MurphyTable, "_coords", counting)
-        counts = []
-        for lam in [(2, 2, 1), (3, 1, 1)]:
-            mu = conjugate(lam)
-            perms = paired_perms(lam)
-            reached = {
-                coset_minimum(v, mu)[0]
-                for s in perms
-                for t in perms
-                for v in _times_t(T(s), perm_inverse(t))
-            }
-            calls.clear()
-            hecke._gram_matrix.__wrapped__(lam)
-            assert len(calls) == len(reached) < len(perms) ** 2
-            counts.append(len(calls))
-        assert counts == [3, 6]
 
 
 class TestOracleChecks:
@@ -472,30 +509,53 @@ class TestOracleChecks:
         self.corrupt_coords(monkeypatch, lambda coords: {**coords, stray: {0: 1}})
         message = f"stray same-shape component {stray}"
         with pytest.raises(ConventionError, match=re.escape(message)):
-            hecke._gram_matrix.__wrapped__((2, 1))
+            reference_gram_rows((2, 1))
 
     def test_leak_into_non_dominating_shape(self, monkeypatch):
         leak = ((1, 1, 1), 0, 0)
         self.corrupt_coords(monkeypatch, lambda coords: {**coords, leak: {0: 1}})
         with pytest.raises(ConventionError, match=r"non-dominating shape \(1, 1, 1\)"):
-            hecke._gram_matrix.__wrapped__((2, 1))
+            reference_gram_rows((2, 1))
 
     def test_asymmetric_gram_matrix(self, monkeypatch):
-        # (2, 1) pairs its two tableaux through one double coset; skewing the
-        # expansion of T_{d(s)} T_{d(t)}* for the pair (1, 0) alone breaks
-        # the symmetry without touching any reduction.
-        murphy_table(3)
-        s, t = paired_perms((2, 1))[::-1]
-        times_t = hecke._times_t
+        # An extra q on the form of one word scales its row but not its column.
+        s = paired_perms((2, 1))[1]
+        length = hecke.perm_length
+        monkeypatch.setattr(hecke, "perm_length", lambda w: length(w) + (w == s))
+        with pytest.raises(ConventionError, match=r"not symmetric at \(0,1\)"):
+            hecke._gram_matrix.__wrapped__((2, 1))
 
-        def skew(terms, v):
-            product = times_t(terms, v)
-            if terms == T(s) and v == perm_inverse(t):
-                add_scaled(product, T(s), {0: 1})
+    def corrupt_top(self, monkeypatch, change):
+        """Replace the top coefficient of z for (2, 1) by `change` of it, or drop it on None.
+
+        z = x T_w y T_{w^-1} is the first product along a reduced word that
+        holds the top word (0, 0, 1): x T_w alone does not.
+        """
+        times_t = hecke._times_t
+        changed = []
+
+        def corrupt(terms, v, generator=hecke._right_generator):
+            product = times_t(terms, v, generator)
+            if (0, 0, 1) in product and not changed:
+                changed.append(v)
+                coeff = change(product.pop((0, 0, 1)))
+                if coeff is not None:
+                    product[(0, 0, 1)] = coeff
             return product
 
-        monkeypatch.setattr(hecke, "_times_t", skew)
-        with pytest.raises(ConventionError, match=r"not symmetric at \(0,1\)"):
+        monkeypatch.setattr(hecke, "_times_t", corrupt)
+
+    def test_zero_top_coefficient(self, monkeypatch):
+        self.corrupt_top(monkeypatch, lambda coeff: None)
+        message = "the Specht generator of (2, 1) has a zero top coefficient"
+        with pytest.raises(ConventionError, match=re.escape(message)):
+            hecke._gram_matrix.__wrapped__((2, 1))
+
+    def test_inexact_division(self, monkeypatch):
+        # The rest of z then gives a first entry that 2q does not divide.
+        self.corrupt_top(monkeypatch, lambda coeff: add_product({}, coeff, {0: 2}))
+        message = "Gram entry (0,0) of (2, 1) is not divisible by 2*q"
+        with pytest.raises(ConventionError, match=re.escape(message)):
             hecke._gram_matrix.__wrapped__((2, 1))
 
     def test_empty_lead_coefficient(self):

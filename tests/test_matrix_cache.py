@@ -97,6 +97,36 @@ def test_theorem1_sweep_indexes_each_matrix_once(monkeypatch):
     assert indexed == [8] * 2
 
 
+def test_verify_checks_bar_invariance_once_per_pair(monkeypatch):
+    # `canonical-structure` and `bar-triangle` both read D's failing cells.
+    counting_builder(monkeypatch, fock, "_bar_matrix")
+    counting_builder(monkeypatch, canonical, "_decomposition_matrix")
+    built = []
+    counting_property(monkeypatch, canonical.DecompositionMatrix, "gj_failures", built)
+    assert all(result.passed for result in run_verification(6, (2, 3, 4, 5)))
+    assert built == [
+        ("DecompositionMatrix.gj_failures", n, m) for n in (2, 3, 4, 5) for m in range(7)
+    ]
+
+
+def test_gj_failures_kept_but_not_shared(monkeypatch):
+    counting_builder(monkeypatch, fock, "_bar_matrix")
+    counting_builder(monkeypatch, canonical, "_decomposition_matrix")
+
+    def broken(v, n):
+        raise ConventionError("broken bar")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(canonical, "bar_vector", broken)
+        with pytest.raises(ConventionError, match="broken bar"):
+            canonical.gj_identity_check(2, 3)
+    # The failure was not kept, and each call gets its own list.
+    failures = canonical.gj_identity_check(2, 3)
+    assert failures == []
+    failures.append("changed")
+    assert canonical.gj_identity_check(2, 3) == []
+
+
 @pytest.mark.parametrize(
     "call,message",
     [

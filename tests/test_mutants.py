@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from fockdec import canonical, cli, fock, kernel, laurent, partitions, schaper, verify
+from fockdec import canonical, cli, fock, hecke, kernel, laurent, partitions, schaper, verify
 from fockdec.errors import ConventionError
 from fockdec.laurent import LaurentPoly
 from fockdec.partitions import check_partition, first_column_betas, hook_length
@@ -27,12 +27,13 @@ N_SET = (2, 3, 4, 5)
 
 @pytest.fixture
 def fresh_caches():
-    """Empty the kernel memo and the matrix caches before and after a test."""
+    """Empty the kernel memo and the matrix caches, Gram matrices too, before and after a test."""
 
     def clear():
         kernel.clear_cache()
         fock._bar_matrix.cache_clear()
         canonical._decomposition_matrix.cache_clear()
+        hecke._gram_matrix.cache_clear()
 
     clear()
     yield
@@ -177,6 +178,12 @@ def _regular(lam, n):
     return _IS_REGULAR(lam, n + 1)
 
 
+# hecke: the Specht generator z = x T_w y T_{w^-1}.
+
+# y summed with weight +q^-1 per step, not -q^-1: (+q)^{-l(v)} for (-q)^{-l(v)}.
+_Y_WEIGHT = {-1: 1}
+
+
 # Mutant -> how to apply it to the package.
 MUTANTS = {
     "series-sign": everywhere(kernel, "_pair", _series_sign),
@@ -193,6 +200,7 @@ MUTANTS = {
     ),
     "pred-filter": everywhere(schaper, "jantzen_prediction", _pred_filter),
     "regular": everywhere(partitions, "is_regular", _regular),
+    "y-weight": everywhere(hecke, "_MINUS_Q_INVERSE", _Y_WEIGHT),
 }
 
 # Mutant -> the suites that catch it at MAX_M and N_SET.
@@ -214,6 +222,7 @@ CAUGHT_BY = {
     "half-deriv": "derivative theorem1",
     "pred-filter": "theorem1",
     "regular": "",
+    "y-weight": "oracle ariki",
 }
 
 
